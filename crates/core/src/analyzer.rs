@@ -16,7 +16,10 @@
 use crate::shapes::PairShape;
 use scr_model::calls::{execute, SymCall};
 use scr_model::{ModelConfig, SymState};
-use scr_symbolic::{explore, satisfiable, Domains, Expr, ExprRef, SymBool, SymContext, Var};
+use scr_symbolic::{
+    explore_pruned, satisfiable, Domains, Expr, ExprRef, PathCtx, SymBool, SymContext, Var,
+    MAX_DECISIONS_PER_PATH, MAX_PATHS,
+};
 
 /// One commutative case: a feasible path of the pair on which both orders
 /// can agree.
@@ -40,7 +43,8 @@ pub struct PairAnalysis {
     pub shape: PairShape,
     /// Commutative cases (satisfiable path ∧ equality conditions).
     pub cases: Vec<CommutativeCase>,
-    /// Number of explored paths (feasible or not).
+    /// Number of explored paths: infeasible branches are pruned during
+    /// exploration, but some explored paths may still be infeasible.
     pub paths_explored: usize,
     /// Number of paths that were feasible but **not** commutative.
     pub non_commutative_paths: usize,
@@ -56,7 +60,18 @@ pub fn default_domains() -> Domains {
 /// Analyses one pair shape: explores both orders and classifies every path.
 pub fn analyze_pair(shape: &PairShape, cfg: &ModelConfig) -> PairAnalysis {
     let domains = default_domains();
-    let results = explore(|path| {
+    analyze_pair_with(shape, cfg, &domains, |cond| satisfiable(cond, &domains))
+}
+
+/// [`analyze_pair`] with the exploration's feasibility callback as a
+/// parameter: a branch alternative it rejects is dropped with its subtree.
+fn analyze_pair_with(
+    shape: &PairShape,
+    cfg: &ModelConfig,
+    domains: &Domains,
+    feasible: impl FnMut(&[ExprRef]) -> bool,
+) -> PairAnalysis {
+    let model = |path: &mut PathCtx| {
         let ctx = SymContext::new();
         let (state, assumptions) = SymState::unconstrained(&ctx, *cfg);
         for a in &assumptions {
@@ -85,26 +100,30 @@ pub fn analyze_pair(shape: &PairShape, cfg: &ModelConfig) -> PairAnalysis {
         let states_equal = s_ab.equivalent(&s_ba);
         let commute = results_equal.and(&states_equal);
         (commute, ctx.variables())
-    });
+    };
+    let explored = explore_pruned(model, feasible, MAX_PATHS, MAX_DECISIONS_PER_PATH);
+    assert!(
+        !explored.truncated,
+        "path explosion: more than {MAX_PATHS} paths"
+    );
 
-    let paths_explored = results.len();
+    let paths_explored = explored.results.len();
     let mut cases = Vec::new();
     let mut non_commutative_paths = 0;
-    for result in results {
+    for result in explored.results {
         let (commute, variables): (SymBool, Vec<Var>) = result.value;
         let path_condition = result.branches.clone();
         let mut condition = result.condition.clone();
         condition.push(commute.expr().clone());
         // Satisfiability only: the witness is never used, so the solver's
-        // fast MRV-ordered decision procedure applies. Feasibility is
-        // checked first — the path condition is a strict subset of the
-        // commutativity condition, so an infeasible path skips the check
-        // over the (much larger) result/state-equality obligations
-        // entirely, with the same classification.
-        if !satisfiable(&result.condition, &domains) {
+        // fast MRV-ordered decision procedure applies. Exploration pruned
+        // every infeasible `false` alternative, but a path that took its
+        // default `true` decisions can still be infeasible, so the path
+        // condition is checked before the (much larger) equality one.
+        if !satisfiable(&result.condition, domains) {
             continue;
         }
-        if satisfiable(&condition, &domains) {
+        if satisfiable(&condition, domains) {
             cases.push(CommutativeCase {
                 condition,
                 path_condition,
@@ -290,6 +309,59 @@ mod tests {
         for s in shapes {
             let analysis = analyze_pair(&s, &cfg);
             assert!(analysis.paths_explored > 0);
+        }
+    }
+
+    /// The cases of an analysis as rendered conditions plus variable lists,
+    /// in exploration order.
+    fn rendered_cases(analysis: &PairAnalysis) -> Vec<(Vec<String>, Vec<Var>)> {
+        analysis
+            .cases
+            .iter()
+            .map(|case| {
+                let condition = case.condition.iter().map(|c| format!("{c}")).collect();
+                (condition, case.variables.clone())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pruned_exploration_finds_the_unpruned_cases_in_order() {
+        let cfg = small_cfg();
+        let domains = default_domains();
+        for (a, b) in [
+            (CallKind::Open, CallKind::Open),
+            (CallKind::Rename, CallKind::Rename),
+            (CallKind::Stat, CallKind::Unlink),
+            (CallKind::Link, CallKind::Unlink),
+        ] {
+            let (mut pruned_paths, mut reference_paths) = (0, 0);
+            for s in enumerate_shapes(a, b, &cfg) {
+                let pruned = analyze_pair(&s, &cfg);
+                // The unpruned reference: every branch alternative explored,
+                // the same per-path classification.
+                let reference = analyze_pair_with(&s, &cfg, &domains, |_| true);
+                assert_eq!(
+                    rendered_cases(&pruned),
+                    rendered_cases(&reference),
+                    "{a:?} ∥ {b:?} shape {}",
+                    s.tag
+                );
+                assert_eq!(
+                    pruned.non_commutative_paths, reference.non_commutative_paths,
+                    "{a:?} ∥ {b:?} shape {}",
+                    s.tag
+                );
+                assert!(pruned.paths_explored <= reference.paths_explored);
+                pruned_paths += pruned.paths_explored;
+                reference_paths += reference.paths_explored;
+            }
+            if (a, b) == (CallKind::Open, CallKind::Open) {
+                assert!(
+                    pruned_paths < reference_paths,
+                    "pruning must cut open ∥ open's paths ({pruned_paths} vs {reference_paths})"
+                );
+            }
         }
     }
 

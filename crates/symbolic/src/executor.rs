@@ -7,18 +7,18 @@
 //! leaf — the same strategy concolic engines use to cover a model's paths
 //! (§5.1, §2.4).
 //!
-//! Branches whose condition folds to a constant do not fork. Paths whose
-//! condition is already unsatisfiable are not pruned here (the solver
-//! discards them later); the path and decision limits below bound the
-//! exploration instead.
+//! Branches whose condition folds to a constant do not fork. Callers of
+//! [`explore_pruned`] may drop a branch alternative whose condition is
+//! already unsatisfiable, together with its whole subtree; [`explore`]
+//! prunes nothing. Path and decision limits bound the exploration.
 
 use crate::expr::ExprRef;
 use crate::types::SymBool;
 
 /// Hard limit on decisions along one path (guards against runaway models).
-const MAX_DECISIONS_PER_PATH: usize = 64;
+pub const MAX_DECISIONS_PER_PATH: usize = 64;
 /// Hard limit on explored paths.
-const MAX_PATHS: usize = 100_000;
+pub const MAX_PATHS: usize = 100_000;
 
 /// Per-path execution context handed to the model closure.
 pub struct PathCtx {
@@ -38,10 +38,6 @@ pub struct PathCtx {
 }
 
 impl PathCtx {
-    fn new(decisions: Vec<bool>) -> Self {
-        Self::with_limit(decisions, MAX_DECISIONS_PER_PATH)
-    }
-
     fn with_limit(decisions: Vec<bool>, max_decisions: usize) -> Self {
         PathCtx {
             decisions,
@@ -123,33 +119,15 @@ pub struct PathResult<T> {
 /// Explores every path of `f`, returning one [`PathResult`] per leaf.
 ///
 /// `f` is re-run once per decision vector; it must be deterministic apart
-/// from its use of [`PathCtx::branch`].
-pub fn explore<T>(mut f: impl FnMut(&mut PathCtx) -> T) -> Vec<PathResult<T>> {
-    let mut results = Vec::new();
-    let mut worklist: Vec<Vec<bool>> = vec![Vec::new()];
-    while let Some(prefix) = worklist.pop() {
-        assert!(
-            results.len() < MAX_PATHS,
-            "path explosion: more than {MAX_PATHS} paths"
-        );
-        let prefix_len = prefix.len();
-        let mut ctx = PathCtx::new(prefix);
-        let value = f(&mut ctx);
-        // Schedule the `false` alternative of every decision point first
-        // discovered on this run.
-        for flip in prefix_len..ctx.decisions.len() {
-            let mut alternative = ctx.decisions[..flip].to_vec();
-            alternative.push(false);
-            worklist.push(alternative);
-        }
-        results.push(PathResult {
-            condition: ctx.path,
-            branches: ctx.branches,
-            value,
-            decisions: ctx.decisions,
-        });
-    }
-    results
+/// from its use of [`PathCtx::branch`]. This is [`explore_pruned`] with
+/// nothing pruned, panicking past [`MAX_PATHS`] paths.
+pub fn explore<T>(f: impl FnMut(&mut PathCtx) -> T) -> Vec<PathResult<T>> {
+    let outcome = explore_pruned(f, |_| true, MAX_PATHS, MAX_DECISIONS_PER_PATH);
+    assert!(
+        !outcome.truncated,
+        "path explosion: more than {MAX_PATHS} paths"
+    );
+    outcome.results
 }
 
 /// The outcome of a bounded exploration: the paths reached within budget,
@@ -165,18 +143,18 @@ pub struct ExploreOutcome<T> {
 }
 
 /// [`explore`] with a path budget and feasibility pruning, for models whose
-/// unpruned path count explodes (triple interleavings explore 6 orders per
-/// case where pairs explore 2).
+/// unpruned path count explodes (a pair's two orders, or a triple's six).
 ///
 /// Before scheduling the `false` alternative of a decision, the explorer
 /// hands `feasible` the alternative's path condition (the constraints
 /// accumulated before the decision plus the flipped constraint); returning
-/// false skips the whole subtree. Because every pruned subtree is
-/// unsatisfiable, the reachable leaves are exactly those [`explore`] would
-/// keep after solver filtering — pruning changes cost, not coverage.
-/// `max_paths` bounds the number of explored leaves gracefully
+/// false skips the whole subtree. Every pruned subtree is unsatisfiable, so
+/// every feasible leaf [`explore`] reaches is still reached, in the same
+/// depth-first order — pruning changes cost, not coverage. Leaves reached
+/// through default `true` decisions are not checked and may still be
+/// infeasible. `max_paths` bounds the number of explored leaves
 /// (`truncated` reports the cut) instead of panicking; `max_decisions`
-/// raises the per-path branch budget that [`explore`] fixes at 64.
+/// bounds the branches on one path.
 pub fn explore_pruned<T>(
     mut f: impl FnMut(&mut PathCtx) -> T,
     mut feasible: impl FnMut(&[ExprRef]) -> bool,

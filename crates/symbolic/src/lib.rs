@@ -41,7 +41,9 @@ pub mod isomorphism;
 pub mod solver;
 pub mod types;
 
-pub use executor::{explore, explore_pruned, ExploreOutcome, PathCtx, PathResult};
+pub use executor::{
+    explore, explore_pruned, ExploreOutcome, PathCtx, PathResult, MAX_DECISIONS_PER_PATH, MAX_PATHS,
+};
 pub use expr::{Expr, ExprRef, Sort, Var, VarId};
 pub use isomorphism::signature;
 pub use solver::{

@@ -42,7 +42,7 @@ pub fn statbench_host(threads: &[usize], ops_per_thread: u64) -> Vec<Series> {
         name: stat_mode.label().to_string(),
         points: threads
             .iter()
-            .map(|&n| workloads::statbench(HostMode::Sv6, stat_mode, n, ops_per_thread))
+            .map(|&n| workloads::statbench(HostMode::Sv6, stat_mode, n, ops_per_thread, None))
             .collect(),
     })
     .collect()
@@ -77,7 +77,7 @@ pub fn mailbench_host(threads: &[usize], ops_per_thread: u64) -> Vec<Series> {
             name: name.to_string(),
             points: threads
                 .iter()
-                .map(|&n| workloads::mailbench(mode, config, n, ops_per_thread))
+                .map(|&n| workloads::mailbench(mode, config, n, ops_per_thread, None))
                 .collect(),
         })
         .collect()
@@ -112,7 +112,7 @@ pub struct MailLatencyRow {
 
 /// mailbench with per-operation latency recording: each cell re-runs the
 /// workload with a [`MailTelemetry`] attached, so the same
-/// `mail.latency_ns` histogram the open-loop observatory records is filled
+/// `mail.latency_ns` histogram the open-loop pipeline runs record is filled
 /// by the closed-loop path — these are the service-time-ish numbers the
 /// open-loop sweep's intended-arrival latencies should be compared against.
 pub fn mailbench_host_latency(threads: &[usize], ops_per_thread: u64) -> Vec<MailLatencyRow> {
@@ -120,7 +120,7 @@ pub fn mailbench_host_latency(threads: &[usize], ops_per_thread: u64) -> Vec<Mai
     for (mode, config, name) in mail_columns() {
         for &n in threads {
             let telemetry = MailTelemetry::new(n);
-            workloads::mailbench_observed(mode, config, n, ops_per_thread, Some(&telemetry));
+            workloads::mailbench(mode, config, n, ops_per_thread, Some(&telemetry));
             rows.push(MailLatencyRow {
                 name: name.to_string(),
                 threads: n,

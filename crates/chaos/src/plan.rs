@@ -9,18 +9,10 @@
 //! fails identically in every run of the same plan. Crash schedules are
 //! likewise fixed data (`CrashEvent`s) chosen before any thread starts.
 
-/// SplitMix64 golden-ratio increment.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+use scr_mtrace::{splitmix64, GOLDEN_GAMMA};
+
 /// A second odd constant to separate decision streams.
 const STREAM2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-
-/// SplitMix64 finalizer.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(GOLDEN);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The syscalls chaos can fault. `Spawn` covers both `fork` and
 /// `posix_spawn` (one knob for "child creation failed").
@@ -272,9 +264,9 @@ impl ChaosPlan {
         if ppm == 0 {
             return None;
         }
-        let draw = mix64(
+        let draw = splitmix64(
             self.seed
-                ^ (core as u64).wrapping_mul(GOLDEN)
+                ^ (core as u64).wrapping_mul(GOLDEN_GAMMA)
                 ^ index.wrapping_mul(STREAM2)
                 ^ kind.tag(),
         );
@@ -294,8 +286,11 @@ impl ChaosPlan {
         if self.delay.ppm == 0 || self.delay.polls == 0 {
             return None;
         }
-        let draw = mix64(
-            self.seed ^ STREAM2 ^ (core as u64).wrapping_mul(GOLDEN) ^ index.wrapping_mul(GOLDEN),
+        let draw = splitmix64(
+            self.seed
+                ^ STREAM2
+                ^ (core as u64).wrapping_mul(GOLDEN_GAMMA)
+                ^ index.wrapping_mul(GOLDEN_GAMMA),
         );
         (draw % 1_000_000 < u64::from(self.delay.ppm)).then_some(self.delay.polls)
     }

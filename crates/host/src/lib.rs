@@ -18,35 +18,35 @@
 //! * [`harness::LoadHarness`] spawns N OS threads, partitions work per
 //!   thread ("core"), and measures real operations per second per core.
 //! * [`workloads`] ports the Figure-7 workloads — statbench, openbench and
-//!   the §7.3 mail server (driven through the real
-//!   `scr_kernel::mail::MailServer`, as communicating enqueue/qman
-//!   threads) — to run against [`kernel::HostKernel`].
+//!   the closed-loop mailbench — to run against [`kernel::HostKernel`].
+//! * [`pipeline`] is the one §7.3 mail-pipeline driver: enqueuer and qman
+//!   threads talking only through the real `scr_kernel::mail::MailServer`,
+//!   released on a schedule (a burst or an open-loop arrival process),
+//!   optionally behind `scr_chaos`'s `FaultyKernel` — seeded transient
+//!   errnos, delayed delivery, scheduled qman crashes — with bounded
+//!   retries, a dead-letter mailbox, overload shedding and supervised
+//!   qman restart. Its exactly-once ledger (mailbox read-back plus an
+//!   fd leak check) runs on every run and must close under every
+//!   `ChaosPlan`.
 //! * [`differential`] replays TESTGEN's `ConcreteTest`s on real threads and
 //!   cross-checks every return value against the simulated `Sv6Kernel`,
 //!   closing the loop between the symbolic pipeline and real execution;
 //!   the §4 extension corpus rides along with a linearization +
-//!   message-conservation cross-check.
-//! * [`chaos_mail`] runs the same pipeline behind `scr_chaos`'s
-//!   `FaultyKernel` — seeded transient errnos, delayed delivery,
-//!   scheduled qman crashes — with bounded retries, a dead-letter
-//!   mailbox, overload shedding and supervised qman restart; its
-//!   extended exactly-once ledger (and an fd/process leak check) must
-//!   close under every `ChaosPlan`, and [`differential::chaos_campaign`]
-//!   replays the differential corpus through the same fault layer.
+//!   message-conservation cross-check, and [`differential::chaos_campaign`]
+//!   replays the corpus through the pipeline's fault layer.
 //! * [`fig6`] replays the same tests with a `scr-hostmtrace` tracing window
 //!   around the concurrent pair and aggregates host-side Figure 6 heatmaps
 //!   (`sv6-host` / `linux-host`), cross-checking every conflict verdict
 //!   against the simulated heatmap (lowest-FD contention excepted, and
 //!   recorded explicitly).
 
-pub mod chaos_mail;
 pub mod differential;
 pub mod fig6;
 pub mod harness;
 pub mod kernel;
+pub mod pipeline;
 pub mod workloads;
 
-pub use chaos_mail::{mail_pipeline_chaos, ChaosMailConfig, ChaosMailReport};
 pub use differential::{
     chaos_campaign, differential_campaign, differential_campaign_observed,
     differential_campaign_with, differential_sample, ext_campaign, run_differential,
@@ -64,7 +64,5 @@ pub use fig6::{
 };
 pub use harness::{available_threads, LoadHarness};
 pub use kernel::{perform_host, perform_host_observed, HostKernel, HostMode, HostOptions};
-pub use workloads::{
-    mail_pipeline, mail_pipeline_observed, mailbench, mailbench_observed, openbench, statbench,
-    statbench_observed, HostStatMode, MailPipelineReport, MailTelemetry,
-};
+pub use pipeline::{run_mail, run_mail_on, MailReport, MailRun, Release, ShardStats};
+pub use workloads::{mailbench, openbench, statbench, HostStatMode, MailTelemetry};

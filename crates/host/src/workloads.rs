@@ -16,11 +16,10 @@ use scr_mtrace::{CoreId, ScalingPoint};
 use scr_obs::{
     Counter, Histogram, MetricsRegistry, ObservedKernel, SpanName, SyscallRecorder, TraceLog,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// The telemetry bundle the observed mail workloads feed: one
+/// The telemetry bundle [`mailbench`] and the pipeline driver feed: one
 /// [`MetricsRegistry`] (per-core counters + latency histograms), one
 /// [`SyscallRecorder`] wired through [`ObservedKernel`], and one
 /// [`TraceLog`] receiving a span per pipeline stage (it implements
@@ -45,12 +44,12 @@ pub struct MailTelemetry {
     /// [`RetryPolicy`]) taken on an empty queue — exactly one per counted
     /// `EAGAIN` retry.
     pub yield_spins: Counter,
-    /// End-to-end message latency in ns, under the same histogram name
-    /// (`mail.latency_ns`) the open-loop load generator records, so
-    /// closed-loop and open-loop snapshots are directly comparable. Here
-    /// the clock starts when the operation starts — a closed-loop number,
-    /// which is exactly the coordinated-omission contrast the open-loop
-    /// path exists to expose.
+    /// End-to-end message latency in ns, recorded by [`mailbench`] under
+    /// the same histogram name (`mail.latency_ns`) the pipeline driver's
+    /// report uses, so closed-loop and open-loop numbers are directly
+    /// comparable. Here the clock starts when the operation starts — a
+    /// closed-loop number, which is exactly the coordinated-omission
+    /// contrast the open-loop schedule exists to expose.
     pub latency: Histogram,
     stage_names: [SpanName; MailStage::ALL.len()],
 }
@@ -121,20 +120,12 @@ impl HostStatMode {
 
 /// statbench on real threads: half the threads `fstat`/`fstatx` one shared
 /// file while the other half `link`/`unlink` it under fresh names.
+///
+/// With `Some(recorder)` every call goes through an [`ObservedKernel`]
+/// feeding it. The hot loop is the same generic code either way — so the
+/// `obs_overhead` example can compare the two paths (recorder disabled)
+/// and gate the wrapper's cost.
 pub fn statbench(
-    mode: HostMode,
-    stat_mode: HostStatMode,
-    threads: usize,
-    ops_per_thread: u64,
-) -> ScalingPoint {
-    statbench_observed(mode, stat_mode, threads, ops_per_thread, None)
-}
-
-/// [`statbench`] with optional per-syscall recording. The hot loop is the
-/// same generic code whether the calls go straight to the [`HostKernel`]
-/// or through an [`ObservedKernel`] — so the `obs_overhead` example can
-/// compare the two paths (recorder disabled) and gate the wrapper's cost.
-pub fn statbench_observed(
     mode: HostMode,
     stat_mode: HostStatMode,
     threads: usize,
@@ -247,19 +238,14 @@ pub fn openbench(mode: HostMode, anyfd: bool, threads: usize, ops_per_thread: u6
 /// The [`MailConfig`] selects the whole §7.3 API family: descriptor
 /// allocation (lowest-FD vs `O_ANYFD`), socket ordering, and helper
 /// creation (`fork`'s table snapshot vs `posix_spawn`).
+///
+/// This is the closed-loop Figure 7(c) benchmark, where one thread both
+/// enqueues and delivers; the dedicated-threads pipeline is
+/// [`crate::pipeline::run_mail`]. With `Some(telemetry)` syscalls route
+/// through an [`ObservedKernel`], pipeline stages become trace spans, the
+/// empty-queue backoff is counted per core, and each operation's
+/// closed-loop latency is recorded.
 pub fn mailbench(
-    mode: HostMode,
-    config: MailConfig,
-    threads: usize,
-    ops_per_thread: u64,
-) -> ScalingPoint {
-    mailbench_observed(mode, config, threads, ops_per_thread, None)
-}
-
-/// [`mailbench`] with optional telemetry: syscalls route through an
-/// [`ObservedKernel`], pipeline stages become trace spans, and the
-/// empty-queue backoff is counted per core.
-pub fn mailbench_observed(
     mode: HostMode,
     config: MailConfig,
     threads: usize,
@@ -334,197 +320,6 @@ pub fn mailbench_observed(
     })
 }
 
-/// Outcome of a dedicated-threads [`mail_pipeline`] run: the ledger the
-/// exactly-once assertions (tests, the CI smoke gate) check.
-#[derive(Clone, Debug)]
-pub struct MailPipelineReport {
-    /// Messages the enqueuer threads spooled and announced.
-    pub enqueued: usize,
-    /// Messages the queue-manager threads delivered.
-    pub delivered: usize,
-    /// Delivered bodies that appeared more than once.
-    pub duplicates: usize,
-    /// Enqueued bodies that never reached a mailbox.
-    pub lost: usize,
-    /// Delivered mailbox files whose contents did not match any enqueued
-    /// body (0 in any healthy run).
-    pub corrupt: usize,
-}
-
-impl MailPipelineReport {
-    /// Every message delivered exactly once, bit-intact.
-    pub fn exactly_once(&self) -> bool {
-        self.delivered == self.enqueued
-            && self.duplicates == 0
-            && self.lost == 0
-            && self.corrupt == 0
-    }
-}
-
-/// The full §7.3 pipeline as *actual communicating threads*: `enqueuers`
-/// threads run mail-enqueue, `qmans` threads run mail-qman (receiving
-/// notifications, spawning a delivery helper per message, waiting for it,
-/// cleaning the spool) — the two stages talk only through the kernel, via
-/// the notification socket and the spool files, exactly as the paper's
-/// processes do. Returns the exactly-once ledger, verified by reading
-/// every delivered mailbox file back.
-pub fn mail_pipeline(
-    mode: HostMode,
-    config: MailConfig,
-    enqueuers: usize,
-    qmans: usize,
-    messages_per_enqueuer: usize,
-) -> MailPipelineReport {
-    mail_pipeline_observed(mode, config, enqueuers, qmans, messages_per_enqueuer, None)
-}
-
-/// [`mail_pipeline`] with optional telemetry. With `Some(telemetry)`:
-/// every syscall the pipeline makes is counted and timed per core, each
-/// stage (enqueue → notify → receive → spawn → deliver → reap → cleanup)
-/// becomes a trace span on its worker's core, and the qman polling loop
-/// counts its `EAGAIN` retries and yields. The exactly-once verification
-/// pass at the end reads mailboxes back through the *raw* kernel, so the
-/// recorded ledger is exactly what the pipeline itself did — which is what
-/// makes the retry-tail invariant (`recv.calls == delivered +
-/// eagain_retries`) checkable from the snapshot alone.
-pub fn mail_pipeline_observed(
-    mode: HostMode,
-    config: MailConfig,
-    enqueuers: usize,
-    qmans: usize,
-    messages_per_enqueuer: usize,
-    telemetry: Option<&MailTelemetry>,
-) -> MailPipelineReport {
-    let enqueuers = enqueuers.max(1);
-    let qmans = qmans.max(1);
-    let cores = enqueuers + qmans;
-    let total = enqueuers * messages_per_enqueuer;
-    let kernel = HostKernel::new(cores, mode);
-    let client = kernel.new_process();
-    let qman_pid = kernel.new_process();
-    let observed = telemetry.map(|t| ObservedKernel::new(&kernel, t.syscalls.clone()));
-    let api: &(dyn SyscallApi + Sync) = match observed.as_ref() {
-        Some(o) => o,
-        None => &kernel,
-    };
-    let stages: &(dyn MailStageObserver + Sync) = match telemetry {
-        Some(t) => t,
-        None => &NoMailObs,
-    };
-    let server = MailServer::new(api, config, cores).expect("mail server");
-    let delivered_names = Mutex::new(Vec::with_capacity(total));
-    let delivered_count = AtomicUsize::new(0);
-    let (server_ref, names_ref, count_ref) = (&server, &delivered_names, &delivered_count);
-    std::thread::scope(|scope| {
-        for e in 0..enqueuers {
-            scope.spawn(move || {
-                for i in 0..messages_per_enqueuer {
-                    let mailbox = format!("box{e}");
-                    let body = format!("body-{e}-{i}");
-                    server_ref
-                        .enqueue_observed(e, client, &mailbox, body.as_bytes(), stages)
-                        .expect("enqueue");
-                    if let Some(t) = telemetry {
-                        t.enqueued.inc(e);
-                    }
-                }
-            });
-        }
-        for q in 0..qmans {
-            let core = enqueuers + q;
-            scope.spawn(move || {
-                let mut backoff = Backoff::new(RetryPolicy::spin(), core as u64);
-                loop {
-                    if count_ref.load(Ordering::Acquire) >= total {
-                        break;
-                    }
-                    match server_ref.qman_step_observed(core, qman_pid, stages) {
-                        Ok(name) => {
-                            if let Some(t) = telemetry {
-                                t.delivered.inc(core);
-                            }
-                            count_ref.fetch_add(1, Ordering::AcqRel);
-                            names_ref.lock().unwrap().push(name);
-                            backoff.reset();
-                        }
-                        // Empty queue: either the enqueuers are still
-                        // filling it or another qman won the race for the
-                        // last one; back off so they get this core under
-                        // oversubscription.
-                        Err(Errno::EAGAIN) => {
-                            if let Some(t) = telemetry {
-                                t.eagain_retries.inc(core);
-                                t.yield_spins.inc(core);
-                            }
-                            backoff.wait();
-                        }
-                        Err(e) => panic!("qman step failed: {e}"),
-                    }
-                }
-            });
-        }
-    });
-    // Teardown leak check: every delivery helper was reaped and every
-    // spool descriptor closed, so no process — client, qman, or any of
-    // the helpers the run spawned — may still hold a descriptor.
-    for pid in 0..kernel.process_count() {
-        assert_eq!(
-            kernel.open_fd_count(pid),
-            Ok(0),
-            "pid {pid} leaked descriptors past pipeline teardown"
-        );
-    }
-    // Verify by reading every mailbox file back through the kernel.
-    let names = delivered_names.into_inner().unwrap();
-    let mut got: Vec<String> = names
-        .iter()
-        .map(|name| {
-            let fd = kernel
-                .open(0, qman_pid, name, OpenFlags::plain())
-                .expect("delivered file must exist");
-            let body = kernel.pread(0, qman_pid, fd, 4096, 0).expect("read body");
-            kernel.close(0, qman_pid, fd).expect("close");
-            String::from_utf8_lossy(&body).into_owned()
-        })
-        .collect();
-    got.sort();
-    let mut want: Vec<String> = (0..enqueuers)
-        .flat_map(|e| (0..messages_per_enqueuer).map(move |i| format!("body-{e}-{i}")))
-        .collect();
-    want.sort();
-    let count = |items: &[String]| {
-        let mut map = std::collections::BTreeMap::new();
-        for item in items {
-            *map.entry(item.clone()).or_insert(0usize) += 1;
-        }
-        map
-    };
-    let (got_counts, want_counts) = (count(&got), count(&want));
-    // A body that was never enqueued is *corrupt*, not a duplicate: only
-    // over-delivery of known bodies counts here, so each failure mode is
-    // attributed exactly once.
-    let duplicates = got_counts
-        .iter()
-        .filter(|(body, _)| want_counts.contains_key(*body))
-        .map(|(body, n)| n.saturating_sub(want_counts[body]))
-        .sum();
-    let lost = want_counts
-        .iter()
-        .map(|(body, n)| n.saturating_sub(*got_counts.get(body).unwrap_or(&0)))
-        .sum();
-    let corrupt = got
-        .iter()
-        .filter(|body| !want_counts.contains_key(*body))
-        .count();
-    MailPipelineReport {
-        enqueued: total,
-        delivered: names.len(),
-        duplicates,
-        lost,
-        corrupt,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,7 +331,7 @@ mod tests {
             HostStatMode::FstatSharedCount,
             HostStatMode::FstatxNoNlink,
         ] {
-            let point = statbench(HostMode::Sv6, stat_mode, 2, 50);
+            let point = statbench(HostMode::Sv6, stat_mode, 2, 50, None);
             assert_eq!(point.total_ops, 100);
             assert!(point.ops_per_sec_per_core > 0.0);
         }
@@ -557,7 +352,7 @@ mod tests {
     fn mailbench_runs_both_configs_on_both_modes() {
         for mode in [HostMode::Sv6, HostMode::Linuxlike] {
             for config in [MailConfig::CommutativeApis, MailConfig::RegularApis] {
-                let point = mailbench(mode, config, 2, 20);
+                let point = mailbench(mode, config, 2, 20, None);
                 assert_eq!(point.total_ops, 40, "{mode:?}/{config:?}");
                 assert!(point.ops_per_sec_per_core > 0.0);
             }
@@ -565,24 +360,10 @@ mod tests {
     }
 
     #[test]
-    fn mail_pipeline_delivers_exactly_once_in_every_configuration() {
-        for mode in [HostMode::Sv6, HostMode::Linuxlike] {
-            for config in [MailConfig::CommutativeApis, MailConfig::RegularApis] {
-                let report = mail_pipeline(mode, config, 2, 2, 25);
-                assert!(
-                    report.exactly_once(),
-                    "{mode:?}/{config:?}: {report:?} must deliver exactly once"
-                );
-                assert_eq!(report.delivered, 50);
-            }
-        }
-    }
-
-    #[test]
-    fn statbench_observed_counts_every_hot_loop_call() {
+    fn statbench_with_a_recorder_counts_every_hot_loop_call() {
         let registry = MetricsRegistry::new(2);
         let recorder = SyscallRecorder::new(&registry);
-        let point = statbench_observed(
+        let point = statbench(
             HostMode::Sv6,
             HostStatMode::FstatRefcache,
             2,
@@ -599,40 +380,9 @@ mod tests {
     }
 
     #[test]
-    fn observed_mail_pipeline_records_ledger_spans_and_retries() {
-        use scr_obs::SyscallKind;
-        let telemetry = MailTelemetry::new(4);
-        let report = mail_pipeline_observed(
-            HostMode::Sv6,
-            MailConfig::CommutativeApis,
-            2,
-            2,
-            10,
-            Some(&telemetry),
-        );
-        assert!(report.exactly_once(), "{report:?}");
-        assert_eq!(telemetry.enqueued.total(), 20);
-        assert_eq!(telemetry.delivered.total(), 20);
-        // Every qman_step makes exactly one recv: it either delivers or
-        // reports an empty queue, so the recv count decomposes exactly.
-        assert_eq!(
-            telemetry.syscalls.count_of(SyscallKind::Recv),
-            telemetry.delivered.total() + telemetry.eagain_retries.total()
-        );
-        assert_eq!(
-            telemetry
-                .syscalls
-                .errno_count(SyscallKind::Recv, Errno::EAGAIN),
-            telemetry.eagain_retries.total()
-        );
-        // Seven pipeline stages per message, and EAGAIN polls record none.
-        assert_eq!(telemetry.trace.len(), 7 * 20);
-    }
-
-    #[test]
-    fn mailbench_observed_records_per_op_latency() {
+    fn mailbench_with_telemetry_records_per_op_latency() {
         let telemetry = MailTelemetry::new(2);
-        let point = mailbench_observed(
+        let point = mailbench(
             HostMode::Sv6,
             MailConfig::CommutativeApis,
             2,

@@ -8,9 +8,10 @@
 use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
 use scr_chaos::plan::{ChaosPlan, DelaySpec, FaultSpec};
 use scr_host::workloads::MailTelemetry;
-use scr_host::{mail_pipeline_chaos, ChaosMailConfig, HostKernel, HostMode, HostOptions};
+use scr_host::{run_mail, HostKernel, HostMode, HostOptions, MailRun};
 use scr_hostmtrace::{on_core, HostTraceSink, WindowHeat};
 use scr_kernel::api::{Errno, OpenFlags, StatMask, SyscallApi};
+use scr_kernel::mail::{MailConfig, MailTopology};
 use scr_kernel::retry::RetryPolicy;
 
 /// Runs a fixed single-threaded sequence of faultable calls under `plan`
@@ -112,14 +113,22 @@ fn reliable_surface_absorbs_injected_faults_but_not_genuine_errors() {
 /// moved while the pipeline rode out the storm.
 #[test]
 fn chaos_telemetry_counters_match_the_fault_layer() {
-    let mut cfg = ChaosMailConfig::new(ChaosPlan::errno_storm(47));
-    cfg.plan.delay = DelaySpec {
+    let mut plan = ChaosPlan::errno_storm(47);
+    plan.delay = DelaySpec {
         ppm: 100_000,
         polls: 4,
     };
-    let cores = cfg.enqueuers + cfg.qmans + 1;
-    let telemetry = MailTelemetry::new(cores);
-    let report = mail_pipeline_chaos(&cfg, Some(&telemetry));
+    let run = MailRun {
+        plan,
+        ..MailRun::burst(
+            HostMode::Sv6,
+            MailConfig::CommutativeApis,
+            MailTopology::new(2, 2),
+            50,
+        )
+    };
+    let telemetry = MailTelemetry::new(run.cores());
+    let report = run_mail(&run, Some(&telemetry));
     assert!(
         report.accounted(),
         "chaos ledger does not balance: {report:?}"

@@ -262,6 +262,7 @@ fn host_workloads_complete_under_minimal_parallelism() {
         workloads::HostStatMode::FstatxNoNlink,
         2,
         100,
+        None,
     );
     assert_eq!(p1.total_ops, 200);
     let p2 = workloads::mailbench(
@@ -269,6 +270,7 @@ fn host_workloads_complete_under_minimal_parallelism() {
         scr_kernel::mail::MailConfig::RegularApis,
         2,
         20,
+        None,
     );
     assert_eq!(p2.total_ops, 40);
     let kernel = HostKernel::new(2, HostMode::Linuxlike);

@@ -22,9 +22,9 @@ use scr_host::fig6::{
     ext_corpus, ext_failures, normalize_pipe_label, run_ext_corpus, run_ext_host, run_ext_sim,
 };
 use scr_host::kernel::{HostKernel, HostMode};
-use scr_host::workloads::mail_pipeline;
+use scr_host::{run_mail, MailRun};
 use scr_kernel::api::{Errno, OpenFlags, SocketOrder, SysOp, SyscallApi};
-use scr_kernel::mail::{MailConfig, MailServer};
+use scr_kernel::mail::{MailConfig, MailServer, MailTopology};
 use scr_kernel::Sv6Kernel;
 use scr_model::CallKind;
 use scr_mtrace::AccessKind;
@@ -282,13 +282,16 @@ fn mail_server_runs_end_to_end_on_the_host_kernel() {
 #[test]
 fn mail_pipeline_delivers_exactly_once_across_repeated_schedules() {
     // The acceptance bar: both MailConfigs × both host modes, with
-    // dedicated enqueuer and qman threads racing, repeated so different
-    // hardware schedules are exercised — every message delivered exactly
-    // once, every time.
+    // dedicated enqueuer and qman threads racing — the two qmans on one
+    // shared notification socket — repeated so different hardware
+    // schedules are exercised: every message delivered exactly once,
+    // every time.
     for round in 0..3 {
         for mode in [HostMode::Sv6, HostMode::Linuxlike] {
             for config in [MailConfig::CommutativeApis, MailConfig::RegularApis] {
-                let report = mail_pipeline(mode, config, 2, 2, 40);
+                let topology = MailTopology::new(2, 2).with_shards(1);
+                let run = MailRun::burst(mode, config, topology, 80);
+                let report = run_mail(&run, None);
                 assert!(
                     report.exactly_once(),
                     "round {round} {mode:?}/{config:?}: {report:?}"

@@ -3,29 +3,31 @@
 //! invariant, Chrome trace sanity, probe parity (observing syscalls must
 //! not change the hostmtrace footprint), and heat-table/heatmap agreement.
 
-use scr_host::workloads::{mail_pipeline_observed, MailTelemetry};
-use scr_host::{run_host_fig6, HostFig6Config, HostKernel, HostMode, HostOptions};
+use scr_host::workloads::MailTelemetry;
+use scr_host::{
+    run_host_fig6, run_mail, HostFig6Config, HostKernel, HostMode, HostOptions, MailRun,
+};
 use scr_hostmtrace::{on_core, HostTraceSink, WindowHeat};
 use scr_kernel::api::{OpenFlags, StatMask, SyscallApi};
-use scr_kernel::mail::MailConfig;
+use scr_kernel::mail::{MailConfig, MailTopology};
 use scr_model::CallKind;
 use scr_obs::{MetricsRegistry, ObservedKernel, SyscallKind, SyscallRecorder};
 
 /// The mail pipeline, observed: every message is delivered exactly once,
-/// the recv decomposition explains the whole latency tail (each `qman_step`
+/// the recv decomposition explains the whole latency tail (each qman poll
 /// is exactly one recv — either a delivery or an EAGAIN retry), and the
 /// stage trace holds exactly the seven-span ledger per message.
 #[test]
 fn observed_pipeline_accounts_for_every_recv_and_span() {
-    let telemetry = MailTelemetry::new(4);
-    let report = mail_pipeline_observed(
+    // Two qmans race `recv` on one shared notification socket.
+    let run = MailRun::burst(
         HostMode::Sv6,
         MailConfig::CommutativeApis,
-        2,
-        2,
-        15,
-        Some(&telemetry),
+        MailTopology::new(2, 2).with_shards(1),
+        30,
     );
+    let telemetry = MailTelemetry::new(run.cores());
+    let report = run_mail(&run, Some(&telemetry));
     assert!(report.exactly_once(), "pipeline lost or duplicated mail");
     let messages = 2 * 15u64;
     assert_eq!(telemetry.enqueued.total(), messages);

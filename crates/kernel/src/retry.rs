@@ -1,33 +1,22 @@
 //! Shared retry/backoff policy for transient syscall failures.
 //!
-//! Three copies of the same bare `yield_now()` EAGAIN loop used to live in
-//! mailbench, the mail pipeline, and the open-loop qman; on an
-//! oversubscribed single-core runner each burned whole scheduler quanta
-//! spinning. [`RetryPolicy`] centralises the discipline: a few pure yields
-//! first (the common case — the peer is one reschedule away), then
-//! exponential sleeps with seeded jitter up to a ceiling, bounded by a
-//! retry count and a total-delay deadline so a message that cannot make
-//! progress is handed to the dead-letter path instead of wedging a thread.
+//! Bare `yield_now()` EAGAIN loops in the mail qmans (`mailbench`'s
+//! closed loop and the pipeline driver's qman threads) used to burn whole
+//! scheduler quanta spinning on an oversubscribed single-core runner.
+//! [`RetryPolicy`] centralises the discipline: a few pure yields first
+//! (the common case — the peer is one reschedule away), then exponential
+//! sleeps with seeded jitter up to a ceiling, bounded by a retry count and
+//! a total-delay deadline so a message that cannot make progress is
+//! handed to the dead-letter path instead of wedging a thread.
 //!
 //! Everything is deterministic per `(policy.seed, stream)`: the jitter
-//! draws come from a SplitMix64 finalizer over the attempt index, never
+//! draws come from [`splitmix64`] over the attempt index, never
 //! from shared RNG state, so two runs of the same plan produce the same
 //! backoff sequence regardless of thread interleaving.
 
 use crate::api::Errno;
+use scr_mtrace::{splitmix64, GOLDEN_GAMMA};
 use std::time::Duration;
-
-/// SplitMix64 golden-ratio increment (same constant as `scr-loadgen`'s
-/// stream splitting, duplicated here so the kernel crate stays leaf).
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// SplitMix64 finalizer: a stateless avalanche mix.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(GOLDEN);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Errnos worth retrying: the operation had no effect and may succeed if
 /// simply re-issued. Everything else is a genuine, stable kernel answer.
@@ -120,7 +109,9 @@ impl RetryPolicy {
         if raw == 0 {
             return 0;
         }
-        let draw = mix64(mix64(self.seed ^ stream.wrapping_mul(GOLDEN)) ^ u64::from(attempt));
+        let draw = splitmix64(
+            splitmix64(self.seed ^ stream.wrapping_mul(GOLDEN_GAMMA)) ^ u64::from(attempt),
+        );
         let half = raw / 2;
         half + draw % (raw - half + 1)
     }

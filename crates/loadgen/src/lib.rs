@@ -17,11 +17,13 @@
 //!   notification socket.
 //! * [`schedule`] — fixed-rate and Poisson arrival schedules, decided in
 //!   full before the first worker thread starts.
-//! * [`openloop`] — the runner: enqueuers release messages at their
-//!   intended arrival times against a [`MailServer`] topology of N
-//!   enqueuers × M qmans over sharded notification sockets; qmans measure
-//!   delivery latency *from the intended arrival*, via a timestamp stamped
-//!   into the message body.
+//! * [`openloop`] — [`LoadConfig`], one open-loop cell, and its
+//!   conversion into a release schedule for the one pipeline driver,
+//!   [`scr_host::run_mail`]: enqueuers release messages at their intended
+//!   arrival times against a [`MailServer`] topology of N enqueuers × M
+//!   qmans over sharded notification sockets, and latency is measured
+//!   *from the intended arrival*, via a timestamp stamped into the message
+//!   body.
 //! * [`sweep`] — the (pairs, rate, skew) × (sv6-host, linux-host) sweep,
 //!   an instrumented conflict-heat pass per cell, and the
 //!   `BENCH_mail.json` document (`examples/mail_loadgen.rs` writes it,
@@ -35,10 +37,7 @@ pub mod schedule;
 pub mod sweep;
 pub mod zipf;
 
-pub use openloop::{
-    parse_stamp, parse_stamp_index, run_open_loop, run_open_loop_on, LoadConfig, LoadReport,
-    ShardStats,
-};
+pub use openloop::LoadConfig;
 pub use rng::Rng64;
 pub use schedule::{arrival_offsets, Arrival};
 pub use sweep::{bench_json, render_table, run_sweep, BenchCell, ShardHeat, SweepSpec};

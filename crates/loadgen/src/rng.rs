@@ -8,13 +8,13 @@
 //! registry access for a real RNG crate — and reproducibility is the point
 //! anyway, as with the differential campaign's xorshift.
 
+use scr_mtrace::{splitmix64, GOLDEN_GAMMA};
+
 /// A 64-bit SplitMix64 generator.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rng64 {
     state: u64,
 }
-
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl Rng64 {
     /// A generator seeded with `seed` (any value, including 0, is fine —
@@ -28,17 +28,15 @@ impl Rng64 {
     pub fn stream(seed: u64, stream: u64) -> Rng64 {
         // Decorrelate the substream index through one SplitMix64 round
         // before mixing it into the seed.
-        let mut salt = Rng64::new(stream.wrapping_mul(GOLDEN));
+        let mut salt = Rng64::new(stream.wrapping_mul(GOLDEN_GAMMA));
         Rng64::new(seed ^ salt.next_u64())
     }
 
     /// The next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(GOLDEN);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = self.state;
+        self.state = z.wrapping_add(GOLDEN_GAMMA);
+        splitmix64(z)
     }
 
     /// A uniform `f64` in `[0, 1)` (53 mantissa bits).
@@ -56,6 +54,11 @@ impl Rng64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seed_zero_yields_the_reference_first_output() {
+        assert_eq!(Rng64::new(0).next_u64(), 0xE220_A839_7B1D_CDAF);
+    }
 
     #[test]
     fn same_seed_same_stream() {

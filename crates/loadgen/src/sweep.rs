@@ -9,10 +9,11 @@
 //! rise, where does the latency tail go, and which notification-socket
 //! shard is to blame.
 
-use crate::openloop::{run_open_loop, run_open_loop_on, LoadConfig, LoadReport};
+use crate::openloop::LoadConfig;
 use crate::schedule::Arrival;
 use scr_chaos::plan::ChaosPlan;
 use scr_host::kernel::{HostKernel, HostMode, HostOptions};
+use scr_host::{run_mail, run_mail_on, MailReport};
 use scr_hostmtrace::HostTraceSink;
 use scr_kernel::mail::{MailConfig, MailTopology};
 use scr_obs::{HeatMap, Json, RunMeta, DEFAULT_QUANTILES};
@@ -118,12 +119,10 @@ pub struct BenchCell {
     /// Whether this cell ran under the sweep's chaos plan.
     pub chaos: bool,
     /// The timed open-loop report.
-    pub report: LoadReport,
+    pub report: MailReport,
     /// Per-shard notification-socket heat (empty when the heat pass is
     /// disabled).
     pub shard_heat: Vec<ShardHeat>,
-    /// Hottest non-socket lines from the heat pass, for the text table.
-    pub heat_top: Vec<(String, u64)>,
 }
 
 impl BenchCell {
@@ -167,8 +166,9 @@ fn socket_shard(label: &str, shards: usize) -> Option<usize> {
 }
 
 /// Run the instrumented heat pass for one cell and attribute socket-line
-/// conflicts to shards.
-fn heat_pass(spec: &SweepSpec, config: &LoadConfig) -> (Vec<ShardHeat>, Vec<(String, u64)>) {
+/// conflicts to shards. The window also spans the driver's ledger
+/// read-back, which touches no socket line.
+fn heat_pass(spec: &SweepSpec, config: &LoadConfig) -> Vec<ShardHeat> {
     let shards = config.topology.notify_shards;
     let mut heat_config = config.clone();
     heat_config.messages = spec.heat_messages;
@@ -180,7 +180,7 @@ fn heat_pass(spec: &SweepSpec, config: &LoadConfig) -> (Vec<ShardHeat>, Vec<(Str
         &sink,
     );
     sink.begin_window();
-    run_open_loop_on(&kernel, &heat_config);
+    run_mail_on(&kernel, &heat_config.mail_run(), None);
     let report = sink.end_window();
     let heat = HeatMap::new();
     heat.fold_report(&report, |line| sink.label_of(line));
@@ -192,12 +192,7 @@ fn heat_pass(spec: &SweepSpec, config: &LoadConfig) -> (Vec<ShardHeat>, Vec<(Str
             shard_heat[shard].conflict_windows += entry.conflict_windows;
         }
     }
-    let heat_top = heat
-        .top_n(5)
-        .into_iter()
-        .map(|(label, entry)| (label, entry.conflict_windows))
-        .collect();
-    (shard_heat, heat_top)
+    shard_heat
 }
 
 /// Run the whole sweep: every (mode, pairs, rate, skew) cell, timed, plus
@@ -211,11 +206,11 @@ pub fn run_sweep(spec: &SweepSpec, mut progress: impl FnMut(&BenchCell)) -> Vec<
                     let mut config = cell_config(spec, mode, mail, pairs);
                     config.rate_per_sec = rate;
                     config.zipf_s = skew;
-                    let report = run_open_loop(&config);
-                    let (shard_heat, heat_top) = if spec.heat_messages > 0 {
+                    let report = run_mail(&config.mail_run(), None);
+                    let shard_heat = if spec.heat_messages > 0 {
                         heat_pass(spec, &config)
                     } else {
-                        (Vec::new(), Vec::new())
+                        Vec::new()
                     };
                     let cell = BenchCell {
                         mode_label,
@@ -226,7 +221,6 @@ pub fn run_sweep(spec: &SweepSpec, mut progress: impl FnMut(&BenchCell)) -> Vec<
                         chaos: false,
                         report,
                         shard_heat,
-                        heat_top,
                     };
                     progress(&cell);
                     cells.push(cell);
@@ -234,7 +228,7 @@ pub fn run_sweep(spec: &SweepSpec, mut progress: impl FnMut(&BenchCell)) -> Vec<
                         // Same schedule, same seed, faults on: the delta
                         // against the cell above is pure injection tax.
                         config.chaos = plan.clone();
-                        let report = run_open_loop(&config);
+                        let report = run_mail(&config.mail_run(), None);
                         let cell = BenchCell {
                             mode_label,
                             pairs,
@@ -244,7 +238,6 @@ pub fn run_sweep(spec: &SweepSpec, mut progress: impl FnMut(&BenchCell)) -> Vec<
                             chaos: true,
                             report,
                             shard_heat: Vec::new(),
-                            heat_top: Vec::new(),
                         };
                         progress(&cell);
                         cells.push(cell);

@@ -14,8 +14,9 @@
 
 use proptest::prelude::*;
 use scr_host::harness::available_threads;
+use scr_host::run_mail;
 use scr_kernel::mail::MailTopology;
-use scr_loadgen::{arrival_offsets, run_open_loop, Arrival, LoadConfig, Rng64, ZipfSampler};
+use scr_loadgen::{arrival_offsets, Arrival, LoadConfig, Rng64, ZipfSampler};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -122,7 +123,7 @@ fn open_loop_latency_includes_queueing_delay_when_stalled() {
         qman_stall_ns: STALL_NS,
         ..LoadConfig::smoke()
     };
-    let report = run_open_loop(&config);
+    let report = run_mail(&config.mail_run(), None);
     assert_eq!(report.delivered, 40);
     // Message k waits ~k stalls; the median waits ~20. Assert a 3× floor.
     assert!(
@@ -141,10 +142,11 @@ fn open_loop_latency_includes_queueing_delay_when_stalled() {
     // Sanity for the same run un-stalled: the median drops far below the
     // stalled median, confirming the delay above was the queue, not the
     // harness.
-    let unstalled = run_open_loop(&LoadConfig {
+    let unstalled = LoadConfig {
         qman_stall_ns: 0,
         ..config
-    });
+    };
+    let unstalled = run_mail(&unstalled.mail_run(), None);
     assert!(unstalled.latency.p50() < report.latency.p50() / 4.0);
 }
 
@@ -161,9 +163,9 @@ fn zipf_skew_concentrates_shard_traffic() {
         zipf_s: 1.5,
         ..LoadConfig::smoke()
     };
-    let report = run_open_loop(&config);
+    let report = run_mail(&config.mail_run(), None);
     assert_eq!(report.delivered, 200);
-    let fair = report.delivered / report.shards.len() as u64;
+    let fair = (report.delivered / report.shards.len()) as u64;
     let hottest = report.hottest_shard().unwrap();
     assert!(
         hottest.delivered > fair,
@@ -173,7 +175,7 @@ fn zipf_skew_concentrates_shard_traffic() {
     );
     // Every delivery is attributed to exactly one shard.
     let sum: u64 = report.shards.iter().map(|s| s.delivered).sum();
-    assert_eq!(sum, report.delivered);
+    assert_eq!(sum, report.delivered as u64);
 }
 
 /// Scaling claim (needs real parallelism, self-skips on small hosts): with
@@ -195,14 +197,16 @@ fn sharded_pipeline_does_not_collapse_with_real_threads() {
         mailboxes: 64,
         ..LoadConfig::smoke()
     };
-    let single = run_open_loop(&LoadConfig {
+    let single = LoadConfig {
         topology: MailTopology::single(),
         ..base.clone()
-    });
-    let sharded = run_open_loop(&LoadConfig {
+    };
+    let sharded = LoadConfig {
         topology: MailTopology::new(2, 2),
         ..base
-    });
+    };
+    let single = run_mail(&single.mail_run(), None);
+    let sharded = run_mail(&sharded.mail_run(), None);
     assert_eq!(single.delivered, 2_000);
     assert_eq!(sharded.delivered, 2_000);
     assert!(

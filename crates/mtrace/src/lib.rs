@@ -21,6 +21,8 @@
 //!   by the Figure 7 reproduction: conflict-free workloads stay flat as
 //!   cores are added, while a single contended line serialises ownership
 //!   transfers and collapses per-core throughput.
+//! * [`splitmix`] is the workspace's one SplitMix64 mixer, shared by the
+//!   mail stack's seeded streams (arrivals, fault plans, backoff jitter).
 //!
 //! The machine is deliberately single-threaded: "cores" are a labelling of
 //! which logical CPU performed an access, which is all that conflict
@@ -30,9 +32,11 @@
 pub mod machine;
 pub mod mesi;
 pub mod scaling;
+pub mod splitmix;
 pub mod trace;
 
 pub use machine::{CoreId, LineId, SimMachine, TracedCell};
 pub use mesi::{CoherenceStats, MesiSimulator};
 pub use scaling::{ScalingParams, ScalingPoint, ThroughputModel};
+pub use splitmix::{splitmix64, GOLDEN_GAMMA};
 pub use trace::{Access, AccessKind, ConflictReport, SharedLine};

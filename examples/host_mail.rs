@@ -1,12 +1,13 @@
 //! The §7.3 mail server on real threads: the CI smoke gate.
 //!
-//! Runs the full pipeline — mail-enqueue threads spooling messages and
-//! announcing them on the notification socket, mail-qman threads receiving,
-//! spawning a delivery helper per message (`fork` under RegularApis,
-//! `posix_spawn` under CommutativeApis), waiting for it and cleaning the
-//! spool — in **both** API configurations on **both** host kernel modes,
-//! and verifies every message was delivered exactly once by reading the
-//! mailbox files back.
+//! Runs the full pipeline as a burst through the one pipeline driver,
+//! `scr_host::run_mail` — mail-enqueue threads spooling messages and
+//! announcing them on one shared notification socket, mail-qman threads
+//! racing to receive, spawning a delivery helper per message (`fork` under
+//! RegularApis, `posix_spawn` under CommutativeApis), waiting for it and
+//! cleaning the spool — in **both** API configurations on **both** host
+//! kernel modes, and verifies every message was delivered exactly once by
+//! reading the mailbox files back.
 //!
 //! Every run is observed by `scr-obs`: per-core, cache-padded syscall
 //! counters and latency histograms (so observing the pipeline cannot
@@ -22,44 +23,52 @@
 //! conflict-free on the host, results must linearize, and datagrams must
 //! be conserved.
 //!
-//! Exits 1 on any lost or duplicated message, any footprint divergence, or
-//! any cross-check failure. Run with
+//! Exits 1 naming the broken shape — lost, duplicated, corrupt, leaked
+//! descriptors, dead-lettered (the report's `failures()`) — or on any
+//! cross-check failure. Run with
 //! `cargo run --release --example host_mail [-- --metrics-out mail.json --trace-out mail.trace.json]`.
 
-use scalable_commutativity::host::workloads::{mail_pipeline_observed, MailTelemetry};
-use scalable_commutativity::host::{available_threads, ext_campaign, HostMode};
-use scalable_commutativity::kernel::mail::MailConfig;
+use scalable_commutativity::host::workloads::MailTelemetry;
+use scalable_commutativity::host::{available_threads, ext_campaign, run_mail, HostMode, MailRun};
+use scalable_commutativity::kernel::mail::{MailConfig, MailTopology};
 use scalable_commutativity::obs::{metrics_out, trace_out, Json, RunMeta, SyscallKind};
 
 fn main() {
     let threads = available_threads();
     let (enqueuers, qmans, messages) = (2, 2, 100);
-    let cores = enqueuers + qmans;
+    // Every qman polls the one notification socket, so the qmans race
+    // `recv` on it and exactly-once holds only if the kernel hands each
+    // notification to exactly one of them.
+    let topology = MailTopology::new(enqueuers, qmans).with_shards(1);
+    let cores = topology.cores();
     println!(
-        "host mail pipeline: {enqueuers} enqueuer + {qmans} qman threads, \
-         {messages} messages/enqueuer, {threads} hardware thread(s)"
+        "host mail pipeline: {enqueuers} enqueuer + {qmans} qman threads on one shared \
+         notification socket, {messages} messages/enqueuer, {threads} hardware thread(s)"
     );
     // One telemetry bundle across all four configurations: the counters
     // aggregate the whole gate, which is what the CI artifact wants.
     let telemetry = MailTelemetry::new(cores);
-    let mut failed = false;
+    let mut reasons: Vec<&str> = Vec::new();
     for mode in [HostMode::Sv6, HostMode::Linuxlike] {
         for config in [MailConfig::CommutativeApis, MailConfig::RegularApis] {
-            let report =
-                mail_pipeline_observed(mode, config, enqueuers, qmans, messages, Some(&telemetry));
+            let run = MailRun::burst(mode, config, topology, enqueuers * messages);
+            let report = run_mail(&run, Some(&telemetry));
             let verdict = if report.exactly_once() { "ok" } else { "FAIL" };
             println!(
-                "  {:<24} {:<16} delivered {}/{} (dup {}, lost {}, corrupt {}) … {verdict}",
+                "  {:<24} {:<16} delivered {}/{} (dup {}, lost {}, corrupt {}, leaked fds {}) … {verdict}",
                 mode.label(),
                 format!("{config:?}"),
                 report.delivered,
-                report.enqueued,
+                report.offered,
                 report.duplicates,
                 report.lost,
                 report.corrupt,
+                report.leaked_fds,
             );
-            if !report.exactly_once() {
-                failed = true;
+            for shape in report.failures() {
+                if !reasons.contains(&shape) {
+                    reasons.push(shape);
+                }
             }
         }
     }
@@ -126,7 +135,9 @@ fn main() {
     );
     for failure in &ext.failures {
         eprintln!("  FAIL: {failure}");
-        failed = true;
+    }
+    if !ext.failures.is_empty() {
+        reasons.push("extension cross-check");
     }
     if ext.failures.is_empty() {
         println!("  conflicts, linearizability and conservation all agree with the simulator");
@@ -156,8 +167,8 @@ fn main() {
         println!("chrome trace written to {}", path.display());
     }
 
-    if failed {
-        eprintln!("host mail smoke gate FAILED");
+    if !reasons.is_empty() {
+        eprintln!("host mail smoke gate FAILED ({})", reasons.join(" + "));
         std::process::exit(1);
     }
     println!("host mail smoke gate passed");

@@ -22,10 +22,13 @@
 //! JSON carries the latency tax of injected faults side by side with the
 //! clean numbers.
 //!
-//! Exits 1 if any cell breaks the exactly-once ledger, saying *how*:
-//! lost (enqueued, never arrived), duplicated (arrived more than once)
-//! and dead-lettered (arrived, but in the `dead-letter` mailbox) are
-//! reported separately — the smoke gate CI runs on every push.
+//! Every cell runs through the one pipeline driver, `scr_host::run_mail`.
+//! Exits 1 if any cell breaks the exactly-once ledger, saying *how* (the
+//! report's `failures()`): lost (enqueued, never arrived), duplicated
+//! (arrived more than once), corrupt (a mailbox file holding no announced
+//! body), leaked descriptors and dead-lettered (arrived, but in the
+//! `dead-letter` mailbox) are reported separately — the smoke gate CI
+//! runs on every push.
 
 use scalable_commutativity::chaos::plan::{ChaosPlan, DelaySpec};
 use scalable_commutativity::loadgen::{bench_json, render_table, run_sweep, SweepSpec};
@@ -117,40 +120,30 @@ fn main() {
     }
 
     // The exactly-once gate, with the failure shape spelled out: a lost
-    // message (never arrived), a duplicate (arrived twice) and a
-    // dead-letter (arrived, wrong mailbox) are different bugs.
+    // message (never arrived), a duplicate (arrived twice), a corrupt
+    // file, a leaked descriptor and a dead-letter (arrived, wrong
+    // mailbox) are different bugs.
     let mut reasons: Vec<&str> = Vec::new();
     for cell in &cells {
         let r = &cell.report;
-        if r.lost > 0 {
+        let failures = r.failures();
+        if !failures.is_empty() {
             eprintln!(
-                "FAIL {}: lost {} of {} enqueued (never delivered)",
+                "FAIL {}: {} (of {} enqueued: lost {}, duplicates {}, corrupt {}, \
+                 leaked fds {}, dead-lettered {})",
                 cell.key(),
+                failures.join(" + "),
+                r.enqueued,
                 r.lost,
-                r.enqueued
+                r.duplicates,
+                r.corrupt,
+                r.leaked_fds,
+                r.dead_lettered,
             );
-            if !reasons.contains(&"lost") {
-                reasons.push("lost");
-            }
         }
-        if r.duplicates > 0 {
-            eprintln!(
-                "FAIL {}: {} duplicate deliver(ies) beyond the first",
-                cell.key(),
-                r.duplicates
-            );
-            if !reasons.contains(&"duplicated") {
-                reasons.push("duplicated");
-            }
-        }
-        if r.dead_lettered > 0 {
-            eprintln!(
-                "FAIL {}: {} message(s) landed in the dead-letter mailbox",
-                cell.key(),
-                r.dead_lettered
-            );
-            if !reasons.contains(&"dead-lettered") {
-                reasons.push("dead-lettered");
+        for shape in failures {
+            if !reasons.contains(&shape) {
+                reasons.push(shape);
             }
         }
     }
@@ -173,7 +166,7 @@ fn main() {
     println!("\nwrote {} cell(s) to {out}", cells.len());
 
     if failed {
-        eprintln!("mail_loadgen: FAILED ({} messages)", reasons.join(" + "));
+        eprintln!("mail_loadgen: FAILED ({})", reasons.join(" + "));
         std::process::exit(1);
     }
     println!("mail_loadgen: OK");

@@ -19,7 +19,7 @@
 //!
 //! Run with `cargo run --release --example obs_overhead`.
 
-use scalable_commutativity::host::workloads::{statbench, statbench_observed, HostStatMode};
+use scalable_commutativity::host::workloads::{statbench, HostStatMode};
 use scalable_commutativity::host::HostMode;
 use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta, SyscallRecorder};
 use std::time::Instant;
@@ -31,12 +31,6 @@ const DEFAULT_GATE_RATIO: f64 = 1.25;
 const THREADS: usize = 2;
 const OPS_PER_THREAD: u64 = 20_000;
 const TRIALS: usize = 5;
-
-fn time_once<F: FnMut()>(mut f: F) -> f64 {
-    let started = Instant::now();
-    f();
-    started.elapsed().as_secs_f64()
-}
 
 fn main() {
     let ceiling: f64 = std::env::var("SCR_OBS_GATE_RATIO")
@@ -54,38 +48,27 @@ fn main() {
     let enabled_registry = MetricsRegistry::new(THREADS);
     let enabled_recorder = SyscallRecorder::new(&enabled_registry);
 
+    // One timed statbench run, raw (`None`) or through a recorder.
+    let run = |ops, recorder| {
+        let started = Instant::now();
+        statbench(
+            HostMode::Sv6,
+            HostStatMode::FstatxNoNlink,
+            THREADS,
+            ops,
+            recorder,
+        );
+        started.elapsed().as_secs_f64()
+    };
     // Warm-up: fault in code paths and allocator state before timing.
-    statbench(HostMode::Sv6, HostStatMode::FstatxNoNlink, THREADS, 1_000);
+    run(1_000, None);
 
     let (mut raw_best, mut disabled_best, mut enabled_best) = (f64::MAX, f64::MAX, f64::MAX);
     for trial in 0..TRIALS {
         // Interleaved so drift (thermal, scheduler) hits all three equally.
-        let raw = time_once(|| {
-            statbench(
-                HostMode::Sv6,
-                HostStatMode::FstatxNoNlink,
-                THREADS,
-                OPS_PER_THREAD,
-            );
-        });
-        let disabled = time_once(|| {
-            statbench_observed(
-                HostMode::Sv6,
-                HostStatMode::FstatxNoNlink,
-                THREADS,
-                OPS_PER_THREAD,
-                Some(&disabled_recorder),
-            );
-        });
-        let enabled = time_once(|| {
-            statbench_observed(
-                HostMode::Sv6,
-                HostStatMode::FstatxNoNlink,
-                THREADS,
-                OPS_PER_THREAD,
-                Some(&enabled_recorder),
-            );
-        });
+        let raw = run(OPS_PER_THREAD, None);
+        let disabled = run(OPS_PER_THREAD, Some(&disabled_recorder));
+        let enabled = run(OPS_PER_THREAD, Some(&enabled_recorder));
         println!(
             "  trial {trial}: raw {:.1} ns/op, disabled {:.1} ns/op, enabled {:.1} ns/op",
             raw * 1e9 / total_ops as f64,

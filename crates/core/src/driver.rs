@@ -5,18 +5,26 @@
 //! case's operations on different virtual cores while logging every memory
 //! access, and reports cache lines accessed by more than one core with at
 //! least one write. Here the kernels are libraries running over the
-//! simulated machine of `scr-mtrace`, so the driver simply:
+//! simulated machine of `scr-mtrace`, and [`replay_sim`] is the one replay
+//! every simulated entry point goes through:
 //!
-//! 1. builds a fresh kernel and two processes,
-//! 2. replays the test's setup operations with tracing disabled,
-//! 3. enables tracing and runs the two commutative operations on cores 0
-//!    and 1, and
-//! 4. reports the shared cache lines (with their allocation labels, which
-//!    play the role of MTRACE's DWARF-derived type names).
+//! 1. it builds a fresh kernel and `procs.max(2)` processes,
+//! 2. replays the test's setup operations with tracing disabled, each on
+//!    its annotated core,
+//! 3. enables tracing and runs the N traced operations, op `i` on core
+//!    `i`, in a given linearisation order.
+//!
+//! The machine keeps the trace, so callers read the shared cache lines
+//! (with their allocation labels, which play the role of MTRACE's
+//! DWARF-derived type names) or the whole access footprint from the
+//! returned [`SimReplay`]. Pair tests ([`run_test`], [`run_test_order`])
+//! and triple tests (`run_triple_test`, `run_triple_order`) are thin
+//! callers; `scr-host` replays the same [`Script`]s on real threads.
 
 use crate::testgen::ConcreteTest;
-use scr_kernel::api::{perform, KernelApi, SysResult};
+use scr_kernel::api::{perform, KernelApi, SysOp, SysResult};
 use scr_kernel::{LinuxLikeKernel, Sv6Kernel};
+use scr_mtrace::{AccessKind, CoreId};
 
 /// Builds fresh kernel instances for test runs.
 pub trait KernelFactory: Sync {
@@ -60,89 +68,123 @@ impl KernelFactory for LinuxLikeFactory {
     }
 }
 
-/// Replays generated tests on an execution substrate *other than* the
-/// simulated machine — e.g. `scr-host`'s real-threads kernel. The returned
-/// results use the same [`SysResult`] vocabulary as [`run_test`], so a
-/// replayer can be cross-checked against any [`KernelFactory`].
-///
-/// This is the entry point the host backend plugs into: the symbolic
-/// pipeline produces [`ConcreteTest`]s, the simulator defines the expected
-/// observable results, and a replayer demonstrates that a real
-/// implementation agrees.
-pub trait ConcreteReplayer {
-    /// A short name for reports ("host-sv6", …).
-    fn name(&self) -> &'static str;
-    /// Builds a fresh instance, replays the test's setup, runs the two
-    /// operations, and returns their observable results.
-    fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult);
-}
-
-/// The outcome of cross-checking one test between a simulated kernel and a
-/// replayer.
+/// What a replay runs: the untraced setup (each op on its annotated core),
+/// the number of processes, and the traced operations (op `i` runs on core
+/// `i`). Pair and triple tests both lend their fields as a script.
 #[derive(Clone, Debug)]
-pub struct DifferentialOutcome {
-    /// The test's identifier.
-    pub test_id: String,
-    /// Results from the simulated kernel running op_a before op_b.
-    pub simulated: (SysResult, SysResult),
-    /// Results from the simulated kernel running op_b before op_a. For
-    /// most commutative pairs this equals `simulated`; extension pairs
-    /// whose operations race over shared queues or a shared pid allocator
-    /// (send ∥ recv with a steal, fork ∥ fork) produce order-dependent but
-    /// SIM-equivalent results, so the replayed race must merely match
-    /// *some* linearisation.
-    pub simulated_ba: (SysResult, SysResult),
-    /// Results from the replayer (op_a, op_b).
-    pub replayed: (SysResult, SysResult),
+pub struct Script<'t> {
+    /// Setup operations, each annotated with its core.
+    pub setup: &'t [(usize, SysOp)],
+    /// Processes the test uses (at least two are always created).
+    pub procs: usize,
+    /// The traced operations.
+    pub ops: Vec<&'t SysOp>,
 }
 
-impl DifferentialOutcome {
-    /// Did the replayer observe the results of some sequential order of
-    /// the pair on the simulated kernel?
-    pub fn agree(&self) -> bool {
-        self.replayed == self.simulated || self.replayed == self.simulated_ba
+impl ConcreteTest {
+    /// The test as a replay script: `op_a` on core 0, `op_b` on core 1.
+    pub fn script(&self) -> Script<'_> {
+        Script {
+            setup: &self.setup,
+            procs: self.procs,
+            ops: vec![&self.op_a, &self.op_b],
+        }
     }
 }
 
-/// Runs every test on both substrates and reports the comparisons. The
-/// caller decides what to do with disagreements (the integration tests
-/// assert there are none).
-pub fn differential_check(
-    factory: &dyn KernelFactory,
-    replayer: &dyn ConcreteReplayer,
-    tests: &[ConcreteTest],
-) -> Vec<DifferentialOutcome> {
-    tests
-        .iter()
-        .map(|test| {
-            let simulated = run_test_order(factory, test, true).results;
-            let simulated_ba = run_test_order(factory, test, false).results;
-            let replayed = replayer.replay(test);
-            DifferentialOutcome {
-                test_id: test.id.clone(),
-                simulated,
-                simulated_ba,
-                replayed,
-            }
-        })
-        .collect()
+/// One simulated replay. The kernel's machine still holds the trace of the
+/// traced operations.
+pub struct SimReplay {
+    /// The kernel the script ran on.
+    pub kernel: Box<dyn KernelApi>,
+    /// Whether every setup operation succeeded.
+    pub setup_ok: bool,
+    /// `results[i]` belongs to `ops[i]`, whatever the order was.
+    pub results: Vec<SysResult>,
+}
+
+impl SimReplay {
+    /// The traced (core, label, kind) access multiset, sorted.
+    pub fn footprint(&self) -> Vec<(CoreId, String, AccessKind)> {
+        let machine = self.kernel.machine();
+        let mut footprint: Vec<_> = machine
+            .accesses()
+            .iter()
+            .map(|a| (a.core, machine.label_of(a.line), a.kind))
+            .collect();
+        footprint.sort();
+        footprint
+    }
+
+    /// The replay as a [`TestOutcome`], with the per-op results shaped by
+    /// `shape` (into a pair, an array, …).
+    pub fn outcome<R>(
+        self,
+        test_id: &str,
+        shape: impl FnOnce(Vec<SysResult>) -> R,
+    ) -> TestOutcome<R> {
+        let report = self.kernel.machine().conflict_report();
+        TestOutcome {
+            test_id: test_id.to_string(),
+            conflict_free: report.is_conflict_free(),
+            shared_labels: report.conflicting_labels(),
+            setup_ok: self.setup_ok,
+            results: shape(self.results),
+        }
+    }
+}
+
+/// Replays `script` on a fresh kernel from `factory`: `procs.max(2)`
+/// processes, the setup untraced (each op on its annotated core), then the
+/// traced operations in `order` — `order[k]` names the op that runs k-th,
+/// and op `i` always runs on core `i`.
+pub fn replay_sim(factory: &dyn KernelFactory, script: &Script<'_>, order: &[usize]) -> SimReplay {
+    let kernel = factory.build();
+    let machine = kernel.machine().clone();
+    // Both kernels number processes densely from zero.
+    for _ in 0..script.procs.max(2) {
+        kernel.new_process();
+    }
+    // Setup runs untraced, each op on its annotated core (socket-queue
+    // preloads must come from the owning core; everything else uses 0).
+    machine.stop_tracing();
+    let mut setup_ok = true;
+    for (core, op) in script.setup {
+        let result = machine.on_core(*core, || perform(kernel.as_ref(), *core, op));
+        setup_ok &= result.is_ok();
+    }
+    machine.clear_trace();
+    machine.start_tracing();
+    let mut results: Vec<Option<SysResult>> = vec![None; script.ops.len()];
+    for &i in order {
+        results[i] = Some(machine.on_core(i, || perform(kernel.as_ref(), i, script.ops[i])));
+    }
+    machine.stop_tracing();
+    SimReplay {
+        kernel,
+        setup_ok,
+        results: results
+            .into_iter()
+            .map(|r| r.expect("the order runs every op"))
+            .collect(),
+    }
 }
 
 /// The outcome of running one test against one kernel.
 #[derive(Clone, Debug)]
-pub struct TestOutcome {
+pub struct TestOutcome<R = (SysResult, SysResult)> {
     /// The test's identifier.
     pub test_id: String,
-    /// Whether the two operations were conflict-free.
+    /// Whether the traced operations were pairwise conflict-free.
     pub conflict_free: bool,
-    /// Labels of the cache lines shared between the two cores.
+    /// Labels of the cache lines shared between the cores.
     pub shared_labels: Vec<String>,
     /// Whether every setup operation succeeded (failed setup usually means
     /// the test exercises an error path, which is fine, but it is recorded
     /// for diagnostics).
     pub setup_ok: bool,
-    /// The results the two operations returned.
-    pub results: (SysResult, SysResult),
+    /// The results the traced operations returned, in op order.
+    pub results: R,
 }
 
 /// Runs one generated test against a kernel built by `factory`.
@@ -161,41 +203,14 @@ pub fn run_test_order(
     test: &ConcreteTest,
     a_first: bool,
 ) -> TestOutcome {
-    let kernel = factory.build();
-    let machine = kernel.machine().clone();
-    // Both kernels number processes densely from zero.
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    // Setup runs untraced, each op on its annotated core (socket-queue
-    // preloads must come from the owning core; everything else uses 0).
-    machine.stop_tracing();
-    let mut setup_ok = true;
-    for (core, op) in &test.setup {
-        let result = machine.on_core(*core, || perform(kernel.as_ref(), *core, op));
-        setup_ok &= result.is_ok();
-    }
-    // The commutative pair runs traced, on different cores.
-    machine.clear_trace();
-    machine.start_tracing();
-    let (res_a, res_b) = if a_first {
-        let res_a = machine.on_core(0, || perform(kernel.as_ref(), 0, &test.op_a));
-        let res_b = machine.on_core(1, || perform(kernel.as_ref(), 1, &test.op_b));
-        (res_a, res_b)
-    } else {
-        let res_b = machine.on_core(1, || perform(kernel.as_ref(), 1, &test.op_b));
-        let res_a = machine.on_core(0, || perform(kernel.as_ref(), 0, &test.op_a));
-        (res_a, res_b)
-    };
-    machine.stop_tracing();
-    let report = machine.conflict_report();
-    TestOutcome {
-        test_id: test.id.clone(),
-        conflict_free: report.is_conflict_free(),
-        shared_labels: report.conflicting_labels(),
-        setup_ok,
-        results: (res_a, res_b),
-    }
+    let order: &[usize] = if a_first { &[0, 1] } else { &[1, 0] };
+    replay_sim(factory, &test.script(), order).outcome(&test.id, as_pair)
+}
+
+/// The results of a two-op script as `(op_a, op_b)`.
+pub fn as_pair(results: Vec<SysResult>) -> (SysResult, SysResult) {
+    let [a, b] = <[SysResult; 2]>::try_from(results).expect("a pair has two ops");
+    (a, b)
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@ pub mod triples;
 
 pub use analyzer::{analyze_pair, CommutativeCase, PairAnalysis};
 pub use driver::{
-    differential_check, run_test, run_test_order, ConcreteReplayer, DifferentialOutcome,
-    KernelFactory, LinuxLikeFactory, Sv6Factory, TestOutcome,
+    as_pair, replay_sim, run_test, run_test_order, KernelFactory, LinuxLikeFactory, Script,
+    SimReplay, Sv6Factory, TestOutcome,
 };
 pub use pipeline::{
     run_commuter, run_commuter_with_progress, CommuterConfig, CommuterResults, PairTiming,

@@ -17,6 +17,8 @@ use crate::testgen::{
 };
 use scr_kernel::Sv6Kernel;
 use scr_model::{pair_config, CallKind, ModelConfig, ALL_CALLS};
+use scr_mtrace::Fnv1a;
+use std::fmt::Write;
 
 /// Configuration of a pipeline run.
 #[derive(Clone, Debug)]
@@ -205,13 +207,11 @@ impl CommuterResults {
     /// can diff the corpora of a single-thread and a multi-thread leg
     /// without uploading the corpora themselves.
     pub fn corpus_fingerprint(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
+        let mut h = Fnv1a::new();
         for test in &self.tests {
-            for byte in format!("{test:?}").bytes() {
-                h = (h ^ byte as u64).wrapping_mul(0x100000001b3);
-            }
+            write!(h, "{test:?}").expect("hashing never fails");
         }
-        h
+        h.finish()
     }
 }
 

@@ -21,14 +21,14 @@
 use std::collections::BTreeSet;
 
 use crate::analyzer::{default_domains, CommutativeCase};
-use crate::driver::KernelFactory;
+use crate::driver::{replay_sim, KernelFactory, Script, TestOutcome};
 use crate::shapes::{first_op_assignments, second_op_assignments};
 use crate::sweep::claim_in_order;
 use crate::testgen::{
     cached_all_solutions, exact_vars, isomorphism_groups, materialize_calls, relevant_vars,
     CallSpec, LazyCaseSolver, SkipHistogram,
 };
-use scr_kernel::api::{perform, SysOp, SysResult};
+use scr_kernel::api::{SysOp, SysResult};
 use scr_model::calls::{execute, ArgSlots, SymCall, SymRet};
 use scr_model::{CallKind, ModelConfig, SymState};
 use scr_symbolic::{explore_pruned, satisfiable, signature, Expr, SymBool, SymContext, Var};
@@ -360,21 +360,20 @@ pub fn generate_triple_tests(
     out
 }
 
-/// The outcome of replaying one triple test on a simulated kernel.
-#[derive(Clone, Debug)]
-pub struct TripleOutcome {
-    /// The test's identifier.
-    pub test_id: String,
-    /// Whether the three operations were pairwise conflict-free.
-    pub conflict_free: bool,
-    /// Labels of the cache lines shared between the cores.
-    pub shared_labels: Vec<String>,
-    /// Whether every setup operation succeeded.
-    pub setup_ok: bool,
-    /// Per-call results; `results[i]` belongs to `ops[i]` whatever the
-    /// linearisation order was.
-    pub results: [SysResult; 3],
+impl ConcreteTripleTest {
+    /// The test as a replay script: `ops[i]` on core `i`.
+    pub fn script(&self) -> Script<'_> {
+        Script {
+            setup: &self.setup,
+            procs: self.procs,
+            ops: self.ops.iter().collect(),
+        }
+    }
 }
+
+/// The outcome of replaying one triple test on a simulated kernel:
+/// `results[i]` belongs to `ops[i]` whatever the linearisation order was.
+pub type TripleOutcome = TestOutcome<[SysResult; 3]>;
 
 /// Runs a triple test in the base order `[0, 1, 2]`. The factory must
 /// configure at least three cores.
@@ -389,33 +388,9 @@ pub fn run_triple_order(
     test: &ConcreteTripleTest,
     order: [usize; 3],
 ) -> TripleOutcome {
-    let kernel = factory.build();
-    let machine = kernel.machine().clone();
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    machine.stop_tracing();
-    let mut setup_ok = true;
-    for (core, op) in &test.setup {
-        let result = machine.on_core(*core, || perform(kernel.as_ref(), *core, op));
-        setup_ok &= result.is_ok();
-    }
-    machine.clear_trace();
-    machine.start_tracing();
-    let mut results: [Option<SysResult>; 3] = [None, None, None];
-    for &ci in &order {
-        let r = machine.on_core(ci, || perform(kernel.as_ref(), ci, &test.ops[ci]));
-        results[ci] = Some(r);
-    }
-    machine.stop_tracing();
-    let report = machine.conflict_report();
-    TripleOutcome {
-        test_id: test.id.clone(),
-        conflict_free: report.is_conflict_free(),
-        shared_labels: report.conflicting_labels(),
-        setup_ok,
-        results: results.map(|r| r.expect("every call ran")),
-    }
+    replay_sim(factory, &test.script(), &order).outcome(&test.id, |results| {
+        results.try_into().expect("a triple has three ops")
+    })
 }
 
 /// A family of calls coupled through shared kernel state, swept as every

@@ -3,105 +3,81 @@
 //!
 //! The commutativity rule's empirical leg rests on the claim that the
 //! simulated kernels faithfully represent what a real implementation would
-//! do. This module checks exactly that: every generated test's setup is
-//! replayed on a [`HostKernel`], the two commutative operations run
-//! concurrently on two real OS threads (synchronised by a barrier, so they
-//! genuinely race), and every observable result is compared against the
-//! simulated `Sv6Kernel`'s. Because the operations *commute*, their results
-//! must be independent of how the threads interleave — so simulated and
-//! host results must agree bit-for-bit, whatever schedule the hardware
-//! picks.
+//! do. This module checks exactly that: a [`HostReplayer`] replays every
+//! generated test through [`replay_host`] on a fresh [`HostKernel`], the
+//! commutative operations race on real OS threads behind one barrier, and
+//! every observable result is compared against the simulated `Sv6Kernel`'s
+//! sequential orders. Because the operations *commute*, any schedule the
+//! hardware picks must reproduce the result of some sequential order.
+//!
+//! A campaign takes its corpus from `scr_core::run_commuter` (no kernels),
+//! so every pair is generated under its `pair_config` model exactly as in
+//! the simulated Figure 6 sweep. The replayer's optional [`ChaosPlan`]
+//! puts the fault layer in front of the kernel: the chaos campaign is the
+//! same campaign under an errno storm.
 
-use crate::kernel::{perform_host, HostKernel, HostMode};
-use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
+use crate::kernel::{HostKernel, HostMode};
+use crate::replay::replay_host;
 use scr_chaos::plan::ChaosPlan;
-use scr_core::pipeline::{bucket_distinct_names, CommuterConfig};
+use scr_core::pipeline::CommuterConfig;
 use scr_core::{
-    analyze_pair, claim_in_order, differential_check, effective_threads, enumerate_shapes,
-    generate_tests, run_test_order, ConcreteReplayer, ConcreteTest, DifferentialOutcome,
-    SkipHistogram, Sv6Factory,
+    as_pair, run_commuter, run_test_order, ConcreteTest, ConcreteTripleTest, Script, SkipHistogram,
+    Sv6Factory,
 };
 use scr_kernel::api::SysResult;
-use scr_kernel::retry::RetryPolicy;
-use scr_model::{pair_config, CallKind};
+use scr_model::CallKind;
 use scr_obs::EventLog;
-use std::sync::Arc;
-use std::sync::Barrier;
 
-/// Replays generated tests on a fresh [`HostKernel`] per test, running the
-/// commutative pair on two real threads.
-#[derive(Clone, Copy, Debug)]
+/// Replays generated tests on a fresh [`HostKernel`] (sv6 mode) per
+/// replay, racing the traced operations on real threads. An enabled
+/// `plan` runs every setup and racing op through `ReliableKernel →
+/// FaultyKernel` with a never-give-up retry policy. Injected failures have
+/// no side effects and the reliable layer retries exactly them, so the
+/// stack is observationally the bare kernel — replays under an errno storm
+/// must still linearize against the simulated kernel's sequential orders,
+/// and a mismatch means an injected fault leaked through the retry
+/// contract (or a genuine divergence).
+#[derive(Clone, Debug)]
 pub struct HostReplayer {
     /// Cores (thread slots) each fresh kernel is configured with.
     pub cores: usize,
+    /// The fault plan each replay runs under; [`ChaosPlan::none`] replays
+    /// on the bare kernel. (Crash schedules are meaningless here — there
+    /// are no qmans to kill — but errno and delay injection apply to every
+    /// faultable call the test makes.)
+    pub plan: ChaosPlan,
 }
 
 impl Default for HostReplayer {
     fn default() -> Self {
-        HostReplayer { cores: 4 }
+        HostReplayer {
+            cores: 4,
+            plan: ChaosPlan::none(),
+        }
     }
 }
 
-impl ConcreteReplayer for HostReplayer {
-    fn name(&self) -> &'static str {
-        "host-sv6"
+impl HostReplayer {
+    /// Races a script's ops on a fresh kernel; `results[i]` belongs to
+    /// `ops[i]`.
+    fn race(&self, script: &Script<'_>) -> Vec<SysResult> {
+        let cores = self.cores.max(script.ops.len());
+        let kernel = HostKernel::new(cores, HostMode::Sv6);
+        replay_host(&kernel, &self.plan, script, true, None).results
     }
 
-    fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult) {
-        let kernel = Arc::new(HostKernel::new(self.cores.max(2), HostMode::Sv6));
-        for _ in 0..test.procs.max(2) {
-            kernel.new_process();
-        }
-        // Setup replays sequentially, each op on its annotated core (socket
-        // preloads must land on the owning core's queue), as in the
-        // simulated driver.
-        for (core, op) in &test.setup {
-            perform_host(&kernel, *core, op);
-        }
-        // The commutative pair races on two real threads.
-        let barrier = Barrier::new(2);
-        let (kernel_ref, barrier_ref) = (&kernel, &barrier);
-        std::thread::scope(|scope| {
-            let a = scope.spawn(move || {
-                barrier_ref.wait();
-                perform_host(kernel_ref, 0, &test.op_a)
-            });
-            let b = scope.spawn(move || {
-                barrier_ref.wait();
-                perform_host(kernel_ref, 1, &test.op_b)
-            });
-            (
-                a.join().expect("op_a thread"),
-                b.join().expect("op_b thread"),
-            )
-        })
+    /// Races a pair test; returns `(op_a, op_b)`'s results.
+    pub fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult) {
+        as_pair(self.race(&test.script()))
     }
-}
 
-/// Replays a generated triple test on a fresh host kernel: the setup runs
-/// sequentially, then the three operations race on three real OS threads
-/// released by one barrier. Returns the per-call results (`results[i]`
-/// belongs to `ops[i]` whatever interleaving the hardware picked).
-pub fn replay_triple_host(test: &scr_core::ConcreteTripleTest, cores: usize) -> [SysResult; 3] {
-    let kernel = Arc::new(HostKernel::new(cores.max(3), HostMode::Sv6));
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
+    /// Races a triple test on three threads; `results[i]` belongs to
+    /// `ops[i]` whatever interleaving the hardware picked.
+    pub fn replay_triple(&self, test: &ConcreteTripleTest) -> [SysResult; 3] {
+        self.race(&test.script())
+            .try_into()
+            .expect("a triple has three ops")
     }
-    for (core, op) in &test.setup {
-        perform_host(&kernel, *core, op);
-    }
-    let barrier = Barrier::new(3);
-    let (kernel_ref, barrier_ref) = (&kernel, &barrier);
-    std::thread::scope(|scope| {
-        let handles: [_; 3] = std::array::from_fn(|i| {
-            let op = &test.ops[i];
-            scope.spawn(move || {
-                barrier_ref.wait();
-                perform_host(kernel_ref, i, op)
-            })
-        });
-        handles.map(|h| h.join().expect("triple op thread"))
-    })
 }
 
 /// Checks a racing host replay against the simulated kernel: the result
@@ -109,64 +85,63 @@ pub fn replay_triple_host(test: &scr_core::ConcreteTripleTest, cores: usize) -> 
 /// For a SIM-commutative triple all six orders agree, so any scheduling
 /// the hardware picks must reproduce exactly that result vector — a
 /// mismatch is a genuine host↔model divergence, not a benign reordering.
-pub fn triple_linearizes(test: &scr_core::ConcreteTripleTest, host: &[SysResult; 3]) -> bool {
+pub fn triple_linearizes(test: &ConcreteTripleTest, host: &[SysResult; 3]) -> bool {
     let factory = Sv6Factory { cores: 3 };
     scr_core::TRIPLE_ORDERS
         .iter()
         .any(|&order| scr_core::run_triple_order(&factory, test, order).results == *host)
 }
 
-/// A [`HostReplayer`] with a fault-injecting kernel stack: every test's
-/// setup and racing pair run through `ReliableKernel → FaultyKernel →
-/// HostKernel`, with a *never-give-up* retry policy. Because injected
-/// failures have no side effects and the reliable layer retries exactly
-/// them, the stack is observationally the raw host kernel — so replays
-/// under an errno storm must still linearize against the simulated
-/// kernel's two sequential orders. A mismatch means an injected fault
-/// leaked through the retry contract (or a genuine divergence).
+/// The outcome of cross-checking one test between the simulated kernel
+/// and a host replay.
 #[derive(Clone, Debug)]
-pub struct ChaosReplayer {
-    /// Cores (thread slots) each fresh kernel is configured with.
-    pub cores: usize,
-    /// The fault plan each replay runs under (crash schedules are
-    /// meaningless here — there are no qmans to kill — but errno and
-    /// delay injection apply to every faultable call the test makes).
-    pub plan: ChaosPlan,
+pub struct DifferentialOutcome {
+    /// The test's identifier.
+    pub test_id: String,
+    /// Results from the simulated kernel running op_a before op_b.
+    pub simulated: (SysResult, SysResult),
+    /// Results from the simulated kernel running op_b before op_a. For
+    /// most commutative pairs this equals `simulated`; extension pairs
+    /// whose operations race over shared queues or a shared pid allocator
+    /// (send ∥ recv with a steal, fork ∥ fork) produce order-dependent but
+    /// SIM-equivalent results, so the replayed race must merely match
+    /// *some* linearisation.
+    pub simulated_ba: (SysResult, SysResult),
+    /// Results from the host replay (op_a, op_b).
+    pub replayed: (SysResult, SysResult),
 }
 
-impl ConcreteReplayer for ChaosReplayer {
-    fn name(&self) -> &'static str {
-        "host-sv6-chaos"
+impl DifferentialOutcome {
+    /// Did the replay observe the results of some sequential order of the
+    /// pair on the simulated kernel?
+    pub fn agree(&self) -> bool {
+        self.replayed == self.simulated || self.replayed == self.simulated_ba
     }
+}
 
-    fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult) {
-        let cores = self.cores.max(2);
-        let kernel = Arc::new(HostKernel::new(cores, HostMode::Sv6));
-        for _ in 0..test.procs.max(2) {
-            kernel.new_process();
+/// Replays `test` up to `schedules` times and stops at the first replay
+/// that matches neither simulated order. Returns the replays run and that
+/// mismatch, if any.
+fn cross_check(
+    replayer: &HostReplayer,
+    test: &ConcreteTest,
+    schedules: usize,
+) -> (usize, Option<DifferentialOutcome>) {
+    let factory = Sv6Factory { cores: 4 };
+    let mut outcome = DifferentialOutcome {
+        test_id: test.id.clone(),
+        simulated: run_test_order(&factory, test, true).results,
+        simulated_ba: run_test_order(&factory, test, false).results,
+        replayed: (SysResult::Unit, SysResult::Unit),
+    };
+    let schedules = schedules.max(1);
+    for replays in 1..=schedules {
+        outcome.replayed = replayer.replay(test);
+        if !outcome.agree() {
+            return (replays, Some(outcome));
         }
-        let faulty = FaultyKernel::new(kernel.as_ref(), self.plan.clone(), cores);
-        let reliable = ReliableKernel::new(&faulty, RetryPolicy::spin().with_seed(self.plan.seed));
-        for (core, op) in &test.setup {
-            scr_kernel::api::perform(&reliable, *core, op);
-        }
-        let barrier = Barrier::new(2);
-        let (api_ref, barrier_ref) = (&reliable, &barrier);
-        std::thread::scope(|scope| {
-            let a = scope.spawn(move || {
-                barrier_ref.wait();
-                scr_kernel::api::perform(api_ref, 0, &test.op_a)
-            });
-            let b = scope.spawn(move || {
-                barrier_ref.wait();
-                scr_kernel::api::perform(api_ref, 1, &test.op_b)
-            });
-            (
-                a.join().expect("op_a thread"),
-                b.join().expect("op_b thread"),
-            )
-        })
     }
+    (schedules, None)
 }
 
 /// Per-call-pair accounting of one campaign, proving the test budget was
@@ -240,10 +215,10 @@ pub struct CampaignConfig {
     /// Seed for the deterministic shuffle that picks which of a pair's
     /// tests the budget covers.
     pub seed: u64,
-    /// Workers claiming (pair, shape) generation units: `1` sequential,
-    /// `N > 1` that many workers, `0` one per hardware thread. Pools are
-    /// aggregated in pair order, so the selected corpus (and every
-    /// per-pair shuffle seed) is byte-identical for every value.
+    /// Workers of the corpus sweep: `1` sequential, `N > 1` that many
+    /// workers, `0` one per hardware thread. The sweep's corpus comes back
+    /// in pair order, so the selected corpus (and every per-pair shuffle
+    /// seed) is byte-identical for every value.
     pub threads: usize,
 }
 
@@ -319,146 +294,76 @@ pub fn differential_campaign_observed(
     config: &CampaignConfig,
     events: Option<&EventLog>,
 ) -> DifferentialReport {
-    differential_campaign_with(config, &HostReplayer { cores: 4 }, events)
+    differential_campaign_with(config, &HostReplayer::default(), events)
 }
 
 /// The chaos leg of the campaign: the same seeded pair sweep replayed
-/// through a [`ChaosReplayer`] under `plan`'s errno injection. Since the
+/// through a [`HostReplayer`] under `plan`'s errno injection. Since the
 /// reliable retry stack is observationally the raw kernel, every replay
 /// must still linearize against the simulated sequential orders —
 /// [`DifferentialReport::all_agree`] asserts the retry contract end to
 /// end, on every faultable call TESTGEN reaches.
 pub fn chaos_campaign(config: &CampaignConfig, plan: &ChaosPlan) -> DifferentialReport {
-    let replayer = ChaosReplayer {
-        cores: 4,
+    let replayer = HostReplayer {
         plan: plan.clone(),
+        ..HostReplayer::default()
     };
     differential_campaign_with(config, &replayer, None)
 }
 
 /// [`differential_campaign_observed`] over an explicit replayer: the
-/// generation, budgeting and linearization phases are replayer-agnostic,
-/// so the plain host stack and the chaos stack share one campaign body.
+/// generation, budgeting and linearization phases do not depend on the
+/// fault plan, so the plain host stack and the chaos stack share one
+/// campaign body.
 pub fn differential_campaign_with(
     config: &CampaignConfig,
-    replayer: &dyn ConcreteReplayer,
+    replayer: &HostReplayer,
     events: Option<&EventLog>,
 ) -> DifferentialReport {
-    let base_model = CommuterConfig::quick(&config.calls).model;
-    let names = bucket_distinct_names(8);
-
-    // Phase 1: generate per-pair test pools (and skip accounting). Every
+    // Phase 1: the corpus of every pair, from the COMMUTER sweep. Every
     // pair's corpus is generated in full even when `max_tests` would cover
     // only a fraction — deliberately: the skip-reason histogram (which the
     // CI baseline gates on) and the seeded sampling are only meaningful
-    // over the complete pool, and generation cost is paid once per pair.
-    //
-    // Generation work-steals over (pair, shape) units; pools are assembled
-    // strictly in pair order on this thread, because each pair's shuffle
-    // seed is derived from its position in `pools` — aggregation order IS
-    // the determinism contract.
-    struct PoolUnit {
-        pair_index: usize,
-        shape: scr_core::PairShape,
-        model: scr_model::ModelConfig,
-    }
-    let mut pairs: Vec<(CallKind, CallKind)> = Vec::new();
-    for (i, &call_a) in config.calls.iter().enumerate() {
-        for &call_b in config.calls.iter().skip(i) {
-            pairs.push((call_a, call_b));
-        }
-    }
-    let mut units: Vec<PoolUnit> = Vec::new();
-    let mut pair_ranges: Vec<std::ops::Range<usize>> = Vec::new();
-    for (pair_index, &(call_a, call_b)) in pairs.iter().enumerate() {
-        // Per-pair model specialisation: extension pairs get socket and
-        // child-table bounds, pure-socket pairs shed the file-system
-        // dimensions, fs-only pairs keep the base model unchanged.
-        let model = pair_config(&base_model, call_a, call_b);
-        let start = units.len();
-        for shape in enumerate_shapes(call_a, call_b, &model) {
-            units.push(PoolUnit {
-                pair_index,
-                shape,
-                model,
-            });
-        }
-        pair_ranges.push(start..units.len());
-    }
-    let mut pools: Vec<(CallKind, CallKind, Vec<ConcreteTest>, usize)> = Vec::new();
-    let mut skip_reasons = SkipHistogram::new();
-    let mut pending_pool: Vec<ConcreteTest> = Vec::new();
-    let mut pending_skipped = 0usize;
-    // A deterministic per-pair shuffle so the budget samples the pair's
-    // shapes instead of always replaying the first ones.
-    let finalize_pair = |pools: &mut Vec<(CallKind, CallKind, Vec<ConcreteTest>, usize)>,
-                         mut pool: Vec<ConcreteTest>,
-                         skipped: usize| {
-        let (call_a, call_b) = pairs[pools.len()];
-        let pair_seed = config
-            .seed
-            .wrapping_add((pools.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        shuffle(&mut pool, pair_seed);
-        if let Some(events) = events {
-            events.emit_kv(
-                "pair-pool",
-                vec![
-                    ("call_a", call_a.name().into()),
-                    ("call_b", call_b.name().into()),
-                    ("generated", pool.len().into()),
-                    ("skipped", skipped.into()),
-                    ("pair_seed", pair_seed.into()),
-                ],
-            );
-        }
-        pools.push((call_a, call_b, pool, skipped));
-    };
-    claim_in_order(
-        &units,
-        effective_threads(config.threads),
-        |_, unit| {
-            let analysis = analyze_pair(&unit.shape, &unit.model);
-            if analysis.cases.is_empty() {
-                return None;
-            }
-            Some(generate_tests(
-                &unit.shape,
-                &analysis.cases,
-                &unit.model,
-                &names,
-                config.max_assignments_per_case,
-            ))
+    // over the complete pool. The sweep returns its tests in pair order
+    // with per-pair counts, and each pair's shuffle seed is derived from
+    // its position — that order IS the determinism contract.
+    let sweep = run_commuter(
+        &CommuterConfig {
+            max_assignments_per_case: config.max_assignments_per_case,
+            threads: config.threads,
+            ..CommuterConfig::quick(&config.calls)
         },
-        |idx, generated| {
-            let pair = units[idx].pair_index;
-            while pools.len() < pair {
-                finalize_pair(
-                    &mut pools,
-                    std::mem::take(&mut pending_pool),
-                    std::mem::take(&mut pending_skipped),
-                );
-            }
-            if let Some(generated) = generated {
-                pending_skipped += generated.skipped;
-                for (reason, count) in &generated.skip_reasons {
-                    *skip_reasons.entry(*reason).or_default() += count;
-                }
-                pending_pool.extend(generated.tests);
-            }
-            if idx + 1 == pair_ranges[pair].end {
-                finalize_pair(
-                    &mut pools,
-                    std::mem::take(&mut pending_pool),
-                    std::mem::take(&mut pending_skipped),
-                );
-            }
-        },
+        &[],
     );
-    // Pairs with no shapes at all (and any tail after the last unit) still
-    // get their (empty) pool entries, in order.
-    while pools.len() < pairs.len() {
-        finalize_pair(&mut pools, Vec::new(), 0);
-    }
+    let mut corpus = sweep.tests.into_iter();
+    let pools: Vec<(CallKind, CallKind, Vec<ConcreteTest>, usize)> = sweep
+        .pair_timings
+        .iter()
+        .enumerate()
+        .map(|(index, pair)| {
+            let (call_a, call_b) = pair.calls;
+            let mut pool: Vec<ConcreteTest> = corpus.by_ref().take(pair.tests).collect();
+            // A deterministic per-pair shuffle so the budget samples the
+            // pair's shapes instead of always replaying the first ones.
+            let pair_seed = config
+                .seed
+                .wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            shuffle(&mut pool, pair_seed);
+            if let Some(events) = events {
+                events.emit_kv(
+                    "pair-pool",
+                    vec![
+                        ("call_a", call_a.name().into()),
+                        ("call_b", call_b.name().into()),
+                        ("generated", pool.len().into()),
+                        ("skipped", pair.skipped.into()),
+                        ("pair_seed", pair_seed.into()),
+                    ],
+                );
+            }
+            (call_a, call_b, pool, pair.skipped)
+        })
+        .collect();
 
     // Phase 2: spread the budget round-robin across the pairs.
     let mut selected: Vec<(usize, ConcreteTest)> = Vec::new();
@@ -480,43 +385,31 @@ pub fn differential_campaign_with(
         }
     }
 
-    // Phase 3: replay each selected test under several schedules.
-    let factory = Sv6Factory { cores: 4 };
+    // Phase 3: replay each selected test under several schedules; a racing
+    // replay of a commutative pair must linearise to one of the simulated
+    // kernel's two sequential orders (see `DifferentialOutcome::agree`).
     let mut report = DifferentialReport {
-        skip_reasons,
+        skip_reasons: sweep.skip_reasons,
         ..DifferentialReport::default()
     };
     let mut replayed_per_pair = vec![0usize; pools.len()];
     for (idx, test) in &selected {
-        // Both sequential orders define the legal outcomes: a racing replay
-        // of a commutative pair must linearise to one of them (see
-        // `DifferentialOutcome::agree`).
-        let simulated = run_test_order(&factory, test, true).results;
-        let simulated_ba = run_test_order(&factory, test, false).results;
         report.tests_run += 1;
         replayed_per_pair[*idx] += 1;
-        for _ in 0..config.schedules_per_test.max(1) {
-            let replayed = replayer.replay(test);
-            report.replays_run += 1;
-            if replayed != simulated && replayed != simulated_ba {
-                if let Some(events) = events {
-                    events.emit_kv(
-                        "mismatch",
-                        vec![
-                            ("test_id", test.id.as_str().into()),
-                            ("simulated", format!("{simulated:?}").into()),
-                            ("replayed", format!("{replayed:?}").into()),
-                        ],
-                    );
-                }
-                report.mismatches.push(DifferentialOutcome {
-                    test_id: test.id.clone(),
-                    simulated: simulated.clone(),
-                    simulated_ba: simulated_ba.clone(),
-                    replayed,
-                });
-                break;
+        let (replays, mismatch) = cross_check(replayer, test, config.schedules_per_test);
+        report.replays_run += replays;
+        if let Some(mismatch) = mismatch {
+            if let Some(events) = events {
+                events.emit_kv(
+                    "mismatch",
+                    vec![
+                        ("test_id", test.id.as_str().into()),
+                        ("simulated", format!("{:?}", mismatch.simulated).into()),
+                        ("replayed", format!("{:?}", mismatch.replayed).into()),
+                    ],
+                );
             }
+            report.mismatches.push(mismatch);
         }
     }
     if let Some(events) = events {
@@ -585,13 +478,14 @@ pub fn ext_campaign(cores: usize, schedules: usize) -> ExtCampaignReport {
 
 /// Cross-checks an explicit batch of tests (single schedule each).
 pub fn run_differential(tests: &[ConcreteTest]) -> DifferentialReport {
-    let factory = Sv6Factory { cores: 4 };
-    let replayer = HostReplayer { cores: 4 };
-    let outcomes = differential_check(&factory, &replayer, tests);
+    let replayer = HostReplayer::default();
     DifferentialReport {
-        tests_run: outcomes.len(),
-        replays_run: outcomes.len(),
-        mismatches: outcomes.into_iter().filter(|o| !o.agree()).collect(),
+        tests_run: tests.len(),
+        replays_run: tests.len(),
+        mismatches: tests
+            .iter()
+            .filter_map(|test| cross_check(&replayer, test, 1).1)
+            .collect(),
         ..DifferentialReport::default()
     }
 }
@@ -804,8 +698,9 @@ mod tests {
         let analysis = analyze_triple(same_fd, &cfg);
         let generated = generate_triple_tests(same_fd, &analysis.cases, &cfg, &names, 2);
         assert!(!generated.tests.is_empty(), "triple corpus must exist");
+        let replayer = HostReplayer::default();
         for test in generated.tests.iter().take(8) {
-            let host = replay_triple_host(test, 4);
+            let host = replayer.replay_triple(test);
             assert!(
                 triple_linearizes(test, &host),
                 "host triple replay of {} matches no sequential order: {host:?}",

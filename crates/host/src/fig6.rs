@@ -2,10 +2,12 @@
 //!
 //! The simulated pipeline (`scr_core::run_commuter`) runs every generated
 //! test on the simulated kernels and reports which commutative pairs share
-//! cache lines. This module replays the same tests on the real-threads
-//! [`HostKernel`] with a `scr-hostmtrace` tracing window around the
-//! concurrent pair, producing [`Figure6Report`]s labelled `sv6-host` and
-//! `linux-host` — and cross-checks them against the simulated heatmap.
+//! cache lines. [`run_host_fig6`] takes its corpus from that same sweep
+//! (with no kernels) and replays every test on the simulated kernels and,
+//! through [`replay_host`], on an instrumented `HostKernel` with a
+//! `scr-hostmtrace` tracing window around the racing pair, producing
+//! [`Figure6Report`]s labelled `sv6-host` and `linux-host` — and
+//! cross-checks them against the simulated heatmap.
 //!
 //! The cross-check invariant is one-directional: every test that is
 //! conflict-free on the simulated sv6 kernel must be conflict-free on the
@@ -24,19 +26,18 @@
 //! pair conflicts there, which [`HostFig6Results::assert_linux_collapses`]
 //! verifies in aggregate instead.
 
-use crate::kernel::{perform_host, HostKernel, HostMode, HostOptions};
+use crate::kernel::HostMode;
+use crate::replay::{replay_host, traced_kernel};
+use scr_chaos::plan::ChaosPlan;
 use scr_core::pipeline::bucket_distinct_names;
 use scr_core::{
-    analyze_pair, claim_in_order, effective_threads, enumerate_shapes, generate_tests, run_test,
-    ConcreteTest, Figure6Report, LinuxLikeFactory, Sv6Factory,
+    analyze_pair, as_pair, claim_in_order, effective_threads, enumerate_shapes, generate_tests,
+    run_commuter_with_progress, run_test, run_test_order, CommuterConfig, ConcreteTest,
+    Figure6Report, LinuxLikeFactory, Sv6Factory, SweepEvent,
 };
-use scr_hostmtrace::{on_core, HostConflictReport, HostTraceSink};
-use scr_kernel::api::{perform, SockId, SocketOrder, SysOp, SysResult, SyscallApi};
-use scr_kernel::Sv6Kernel;
+use scr_kernel::api::{SockId, SocketOrder, SysOp, SysResult};
 use scr_model::{pair_config, CallKind, ModelConfig};
-use scr_mtrace::AccessKind;
 use scr_obs::HeatMap;
-use std::sync::Barrier;
 
 /// The exception tag for divergences fully explained by lowest-FD
 /// descriptor-table contention (every conflicting line is a `proc[p].fd[f]`
@@ -57,10 +58,10 @@ pub struct HostFig6Config {
     /// How many times each test's concurrent pair is replayed; a test is
     /// host-conflict-free only when every schedule is.
     pub schedules_per_test: usize,
-    /// Sweep workers: `1` runs sequentially, `N > 1` spawns that many
-    /// claiming workers over the (pair, shape) unit list, `0` uses one per
-    /// hardware thread. The generated corpus — and therefore the sim
-    /// columns — are byte-identical for every value; the host columns
+    /// Workers for both the corpus sweep and the replays: `1` runs
+    /// sequentially, `N > 1` spawns that many claiming workers, `0` uses
+    /// one per hardware thread. The generated corpus — and therefore the
+    /// sim columns — are byte-identical for every value; the host columns
     /// depend on hardware schedules either way.
     pub threads: usize,
 }
@@ -97,68 +98,6 @@ pub struct HostTestOutcome {
     pub results: (SysResult, SysResult),
     /// Accesses dropped by log overflow (0 in any healthy run).
     pub dropped: usize,
-}
-
-/// Replays one test on an instrumented kernel: setup untraced on core 0,
-/// then the commutative pair inside a tracing window — on two real threads
-/// when `concurrent`, or back to back on the calling thread otherwise (the
-/// deterministic mode used to validate instrumentation faithfulness).
-pub fn replay_traced(
-    mode: HostMode,
-    cores: usize,
-    test: &ConcreteTest,
-    concurrent: bool,
-) -> (HostConflictReport, (SysResult, SysResult)) {
-    let (_, report, results) = replay_traced_with_sink(mode, cores, test, concurrent);
-    (report, results)
-}
-
-/// [`replay_traced`], also returning the sink so callers can resolve every
-/// access's label (used by the instrumentation-faithfulness tests).
-pub fn replay_traced_with_sink(
-    mode: HostMode,
-    cores: usize,
-    test: &ConcreteTest,
-    concurrent: bool,
-) -> (
-    std::sync::Arc<HostTraceSink>,
-    HostConflictReport,
-    (SysResult, SysResult),
-) {
-    let sink = HostTraceSink::new(cores.max(2));
-    let kernel = HostKernel::instrumented(cores, mode, HostOptions::default(), &sink);
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    for (core, op) in &test.setup {
-        on_core(*core, || perform_host(&kernel, *core, op));
-    }
-    sink.begin_window();
-    let results = if concurrent {
-        let barrier = Barrier::new(2);
-        let (kernel_ref, barrier_ref) = (&kernel, &barrier);
-        std::thread::scope(|scope| {
-            let a = scope.spawn(move || {
-                barrier_ref.wait();
-                on_core(0, || perform_host(kernel_ref, 0, &test.op_a))
-            });
-            let b = scope.spawn(move || {
-                barrier_ref.wait();
-                on_core(1, || perform_host(kernel_ref, 1, &test.op_b))
-            });
-            (
-                a.join().expect("op_a thread"),
-                b.join().expect("op_b thread"),
-            )
-        })
-    } else {
-        (
-            on_core(0, || perform_host(&kernel, 0, &test.op_a)),
-            on_core(1, || perform_host(&kernel, 1, &test.op_b)),
-        )
-    };
-    let report = sink.end_window();
-    (sink, report, results)
 }
 
 /// Normalises a pipe line label for footprint comparison: pipe *instance*
@@ -201,29 +140,29 @@ pub fn run_test_host_with(
     schedules: usize,
     heat: Option<&HeatMap>,
 ) -> HostTestOutcome {
-    let mut shared_labels = Vec::new();
-    let mut conflict_free = true;
-    let mut dropped = 0;
-    let mut results = (SysResult::Unit, SysResult::Unit);
+    let script = test.script();
+    let mut outcome = HostTestOutcome {
+        test_id: test.id.clone(),
+        conflict_free: true,
+        shared_labels: Vec::new(),
+        results: (SysResult::Unit, SysResult::Unit),
+        dropped: 0,
+    };
     for _ in 0..schedules.max(1) {
-        let (sink, report, res) = replay_traced_with_sink(mode, cores, test, true);
+        let (sink, kernel) = traced_kernel(mode, cores);
+        let replay = replay_host(&kernel, &ChaosPlan::none(), &script, true, Some(&sink));
+        let report = replay.report.expect("a traced replay has a window");
         if let Some(heat) = heat {
             heat.fold_report(&report, |line| normalize_pipe_label(&sink.label_of(line)));
         }
-        conflict_free &= report.is_conflict_free();
-        shared_labels.extend(report.conflicting_labels());
-        dropped += report.dropped;
-        results = res;
+        outcome.conflict_free &= report.is_conflict_free();
+        outcome.shared_labels.extend(report.conflicting_labels());
+        outcome.dropped += report.dropped;
+        outcome.results = as_pair(replay.results);
     }
-    shared_labels.sort();
-    shared_labels.dedup();
-    HostTestOutcome {
-        test_id: test.id.clone(),
-        conflict_free,
-        shared_labels,
-        results,
-        dropped,
-    }
+    outcome.shared_labels.sort();
+    outcome.shared_labels.dedup();
+    outcome
 }
 
 /// A test where the simulated sv6 kernel was conflict-free but the host
@@ -329,67 +268,26 @@ impl HostFig6Results {
     }
 }
 
-/// One (pair, shape) work unit of the host Figure 6 sweep. A unit runs
-/// analysis, generation and the four-kernel replay of every generated test
-/// entirely on one worker; only plain concrete data comes back.
-struct Fig6Unit {
-    call_a: CallKind,
-    call_b: CallKind,
-    shape: scr_core::PairShape,
-}
-
-/// The concrete verdicts of one replayed test, ready for in-order
-/// aggregation on the calling thread.
-struct Fig6TestRecord {
-    sim_sv6: bool,
-    sim_linux: bool,
-    host_sv6: bool,
-    host_linux: bool,
-    dropped: usize,
-    divergence: Option<Fig6Divergence>,
-}
-
-/// What a [`Fig6Unit`] produces. `had_cases` mirrors the sequential
-/// pipeline's `continue` on case-less shapes: skips are recorded only for
-/// shapes the analyzer produced commutative cases for.
-struct Fig6UnitOutcome {
-    had_cases: bool,
-    skip_reasons: scr_core::SkipHistogram,
-    records: Vec<Fig6TestRecord>,
-}
-
-/// Runs the full host Figure 6 pipeline: generates tests for every
-/// unordered pair of `config.calls`, runs each on the simulated sv6 and
-/// Linux kernels and on the host kernel in both modes, aggregates four
-/// heatmaps, and records every SIM↔host divergence on the sv6 pair.
+/// Runs the full host Figure 6 pipeline: generates the corpus for every
+/// unordered pair of `config.calls` through `run_commuter_with_progress`
+/// (so every pair gets its `pair_config` model), runs each test on the
+/// simulated sv6 and Linux kernels and on the host kernel in both modes,
+/// aggregates four heatmaps, and records every SIM↔host divergence on the
+/// sv6 pair.
 ///
-/// With `config.threads > 1` the (pair, shape) units are claimed by that
-/// many workers; outcomes are aggregated in unit order on the calling
-/// thread, so the generated corpus and the sim columns are byte-identical
-/// to a sequential run. Heat maps are folded concurrently — their
-/// per-label counters are order-independent sums.
+/// With `config.threads > 1` both the sweep and the replays are claimed by
+/// that many workers; outcomes are aggregated in corpus order on the
+/// calling thread, so the generated corpus and the sim columns are
+/// byte-identical to a sequential run. Heat maps are folded concurrently —
+/// their per-label counters are order-independent sums.
 pub fn run_host_fig6(config: &HostFig6Config) -> HostFig6Results {
-    let names = bucket_distinct_names(8);
-    let sim_sv6_factory = Sv6Factory {
-        cores: config.cores,
+    let sweep = CommuterConfig {
+        model: config.model,
+        calls: config.calls.clone(),
+        max_assignments_per_case: config.max_assignments_per_case,
+        names: bucket_distinct_names(8),
+        threads: config.threads,
     };
-    let sim_linux_factory = LinuxLikeFactory {
-        cores: config.cores,
-    };
-    let heat_sv6 = HeatMap::new();
-    let heat_linux = HeatMap::new();
-    let mut units = Vec::new();
-    for (i, &call_a) in config.calls.iter().enumerate() {
-        for &call_b in config.calls.iter().skip(i) {
-            for shape in enumerate_shapes(call_a, call_b, &config.model) {
-                units.push(Fig6Unit {
-                    call_a,
-                    call_b,
-                    shape,
-                });
-            }
-        }
-    }
     let mut results = HostFig6Results {
         sim_sv6: Figure6Report::new("sv6"),
         sim_linux: Figure6Report::new("Linux"),
@@ -401,102 +299,67 @@ pub fn run_host_fig6(config: &HostFig6Config) -> HostFig6Results {
         heat_sv6: HeatMap::new(),
         heat_linux: HeatMap::new(),
     };
-    claim_in_order(
-        &units,
-        effective_threads(config.threads),
-        |_, unit| {
-            let analysis = analyze_pair(&unit.shape, &config.model);
-            if analysis.cases.is_empty() {
-                return Fig6UnitOutcome {
-                    had_cases: false,
-                    skip_reasons: scr_core::SkipHistogram::new(),
-                    records: Vec::new(),
-                };
-            }
-            let generated = generate_tests(
-                &unit.shape,
-                &analysis.cases,
-                &config.model,
-                &names,
-                config.max_assignments_per_case,
-            );
-            let mut records = Vec::new();
-            for test in &generated.tests {
-                let sim_sv6 = run_test(&sim_sv6_factory, test);
-                let sim_linux = run_test(&sim_linux_factory, test);
-                let host_sv6 = run_test_host_with(
-                    HostMode::Sv6,
-                    config.cores,
-                    test,
-                    config.schedules_per_test,
-                    Some(&heat_sv6),
-                );
-                let host_linux = run_test_host_with(
-                    HostMode::Linuxlike,
-                    config.cores,
-                    test,
-                    config.schedules_per_test,
-                    Some(&heat_linux),
-                );
-                let divergence = if sim_sv6.conflict_free && !host_sv6.conflict_free {
-                    Some(Fig6Divergence {
-                        test_id: test.id.clone(),
-                        calls: (unit.call_a, unit.call_b),
-                        exception: classify_divergence(&host_sv6.shared_labels),
-                        shared_labels: host_sv6.shared_labels.clone(),
-                    })
-                } else {
-                    None
-                };
-                records.push(Fig6TestRecord {
-                    sim_sv6: sim_sv6.conflict_free,
-                    sim_linux: sim_linux.conflict_free,
-                    host_sv6: host_sv6.conflict_free,
-                    host_linux: host_linux.conflict_free,
-                    dropped: host_sv6.dropped + host_linux.dropped,
-                    divergence,
-                });
-            }
-            Fig6UnitOutcome {
-                had_cases: true,
-                skip_reasons: generated.skip_reasons,
-                records,
-            }
-        },
-        |idx, outcome| {
-            let unit = &units[idx];
-            if !outcome.had_cases {
-                return;
-            }
+    let corpus = run_commuter_with_progress(&sweep, &[], |event| {
+        if let SweepEvent::PairDone {
+            timing, skip_delta, ..
+        } = event
+        {
+            let (a, b) = timing.calls;
             for report in [
                 &mut results.sim_sv6,
                 &mut results.sim_linux,
                 &mut results.host_sv6,
                 &mut results.host_linux,
             ] {
-                report.record_skips(unit.call_a, unit.call_b, &outcome.skip_reasons);
+                report.record_skips(a, b, &skip_delta);
             }
-            for record in outcome.records {
-                results.tests_run += 1;
-                results.dropped += record.dropped;
-                results
-                    .sim_sv6
-                    .record(unit.call_a, unit.call_b, record.sim_sv6);
-                results
-                    .sim_linux
-                    .record(unit.call_a, unit.call_b, record.sim_linux);
-                results
-                    .host_sv6
-                    .record(unit.call_a, unit.call_b, record.host_sv6);
-                results
-                    .host_linux
-                    .record(unit.call_a, unit.call_b, record.host_linux);
-                if let Some(divergence) = record.divergence {
-                    results.divergences.push(divergence);
-                }
+        }
+    });
+    let sim_sv6 = Sv6Factory {
+        cores: config.cores,
+    };
+    let sim_linux = LinuxLikeFactory {
+        cores: config.cores,
+    };
+    let (heat_sv6, heat_linux) = (HeatMap::new(), HeatMap::new());
+    let host = |mode: HostMode, test: &ConcreteTest, heat: &HeatMap| {
+        run_test_host_with(
+            mode,
+            config.cores,
+            test,
+            config.schedules_per_test,
+            Some(heat),
+        )
+    };
+    claim_in_order(
+        &corpus.tests,
+        effective_threads(config.threads),
+        |_, test| {
+            (
+                run_test(&sim_sv6, test).conflict_free,
+                run_test(&sim_linux, test).conflict_free,
+                host(HostMode::Sv6, test, &heat_sv6),
+                host(HostMode::Linuxlike, test, &heat_linux),
+            )
+        },
+        |idx, (sim_sv6, sim_linux, host_sv6, host_linux)| {
+            let (a, b) = corpus.tests[idx].calls;
+            results.sim_sv6.record(a, b, sim_sv6);
+            results.sim_linux.record(a, b, sim_linux);
+            results.host_sv6.record(a, b, host_sv6.conflict_free);
+            results.host_linux.record(a, b, host_linux.conflict_free);
+            results.dropped += host_sv6.dropped + host_linux.dropped;
+            if sim_sv6 && !host_sv6.conflict_free {
+                results.divergences.push(Fig6Divergence {
+                    test_id: host_sv6.test_id,
+                    calls: (a, b),
+                    exception: classify_divergence(&host_sv6.shared_labels),
+                    shared_labels: host_sv6.shared_labels,
+                });
             }
         },
     );
+    results.tests_run = corpus.tests.len();
     results.heat_sv6 = heat_sv6;
     results.heat_linux = heat_linux;
     results
@@ -898,138 +761,6 @@ pub fn ext_signature(test: &ConcreteTest, swap_ops: bool) -> String {
     format!("[{}] {} ∥ {}", setup.join(","), op_sig(a), op_sig(b))
 }
 
-/// Results and footprint of a sequential simulated run of an extension
-/// test.
-#[derive(Clone, Debug)]
-pub struct SimExtRun {
-    /// The pair's observable results, as (op_a, op_b).
-    pub results: (SysResult, SysResult),
-    /// Whether the traced pair was conflict-free.
-    pub conflict_free: bool,
-    /// The traced (core, label, kind) multiset, sorted.
-    pub footprint: Vec<(usize, String, AccessKind)>,
-}
-
-/// Runs an extension test on a fresh simulated sv6 kernel: setup untraced
-/// on its annotated cores, then the pair traced on cores 0 and 1, in the
-/// given order (`a_first` false replays B before A — the other
-/// linearization).
-pub fn run_ext_sim(cores: usize, test: &ConcreteTest, a_first: bool) -> SimExtRun {
-    let kernel = Sv6Kernel::new(cores.max(2));
-    let machine = scr_kernel::api::KernelApi::machine(&kernel).clone();
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    machine.stop_tracing();
-    for (core, op) in &test.setup {
-        machine.on_core(*core, || perform(&kernel, *core, op));
-    }
-    machine.clear_trace();
-    machine.start_tracing();
-    let results = if a_first {
-        let ra = machine.on_core(0, || perform(&kernel, 0, &test.op_a));
-        let rb = machine.on_core(1, || perform(&kernel, 1, &test.op_b));
-        (ra, rb)
-    } else {
-        let rb = machine.on_core(1, || perform(&kernel, 1, &test.op_b));
-        let ra = machine.on_core(0, || perform(&kernel, 0, &test.op_a));
-        (ra, rb)
-    };
-    machine.stop_tracing();
-    let mut footprint: Vec<_> = machine
-        .accesses()
-        .iter()
-        .map(|a| (a.core, machine.label_of(a.line), a.kind))
-        .collect();
-    footprint.sort();
-    SimExtRun {
-        results,
-        conflict_free: machine.conflict_report().is_conflict_free(),
-        footprint,
-    }
-}
-
-/// Results, footprint and leftovers of one traced host run of an extension
-/// test.
-#[derive(Clone, Debug)]
-pub struct HostExtRun {
-    /// The pair's observable results, as (op_a, op_b).
-    pub results: (SysResult, SysResult),
-    /// Whether the traced window was conflict-free.
-    pub conflict_free: bool,
-    /// Labels of lines shared between the two cores.
-    pub shared_labels: Vec<String>,
-    /// The traced (core, label, kind) multiset, sorted.
-    pub footprint: Vec<(usize, String, AccessKind)>,
-    /// Messages still queued on the test's sockets afterwards.
-    pub leftover: Vec<Vec<u8>>,
-    /// Accesses dropped by log overflow (0 in any healthy run).
-    pub dropped: usize,
-}
-
-/// Replays an extension test on an instrumented host kernel: setup
-/// untraced, then the pair inside a tracing window — concurrently on two
-/// real threads, or back to back when `concurrent` is false (the
-/// deterministic mode the footprint-parity tests use).
-pub fn run_ext_host(
-    mode: HostMode,
-    cores: usize,
-    test: &ConcreteTest,
-    concurrent: bool,
-) -> HostExtRun {
-    let sink = HostTraceSink::new(cores.max(2));
-    let kernel = HostKernel::instrumented(cores, mode, HostOptions::default(), &sink);
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    for (core, op) in &test.setup {
-        on_core(*core, || perform_host(&kernel, *core, op));
-    }
-    sink.begin_window();
-    let results = if concurrent {
-        let barrier = Barrier::new(2);
-        let (kernel_ref, barrier_ref) = (&kernel, &barrier);
-        std::thread::scope(|scope| {
-            let a = scope.spawn(move || {
-                barrier_ref.wait();
-                on_core(0, || perform_host(kernel_ref, 0, &test.op_a))
-            });
-            let b = scope.spawn(move || {
-                barrier_ref.wait();
-                on_core(1, || perform_host(kernel_ref, 1, &test.op_b))
-            });
-            (
-                a.join().expect("op_a thread"),
-                b.join().expect("op_b thread"),
-            )
-        })
-    } else {
-        (
-            on_core(0, || perform_host(&kernel, 0, &test.op_a)),
-            on_core(1, || perform_host(&kernel, 1, &test.op_b)),
-        )
-    };
-    let report = sink.end_window();
-    let mut footprint: Vec<_> = report
-        .accesses
-        .iter()
-        .map(|a| (a.core, sink.label_of(a.line), a.kind))
-        .collect();
-    footprint.sort();
-    let leftover = socket_ids(test)
-        .into_iter()
-        .flat_map(|s| kernel.socket_drain_untraced(s))
-        .collect();
-    HostExtRun {
-        results,
-        conflict_free: report.is_conflict_free(),
-        shared_labels: report.conflicting_labels(),
-        footprint,
-        leftover,
-        dropped: report.dropped,
-    }
-}
-
 /// The aggregated verdict for one extension test across schedules.
 #[derive(Clone, Debug)]
 pub struct ExtOutcome {
@@ -1056,11 +787,12 @@ pub struct ExtOutcome {
 /// per test) against the simulated sv6 kernel: conflict verdicts
 /// one-directionally, results by linearization, messages by conservation.
 pub fn run_ext_corpus(cores: usize, schedules: usize, corpus: &[ConcreteTest]) -> Vec<ExtOutcome> {
+    let factory = Sv6Factory { cores };
     corpus
         .iter()
         .map(|test| {
-            let sim_ab = run_ext_sim(cores, test, true);
-            let sim_ba = run_ext_sim(cores, test, false);
+            let sim_ab = run_test_order(&factory, test, true);
+            let sim_ba = run_test_order(&factory, test, false).results;
             let sent = sent_messages(test);
             let mut outcome = ExtOutcome {
                 test_id: test.id.clone(),
@@ -1073,22 +805,37 @@ pub fn run_ext_corpus(cores: usize, schedules: usize, corpus: &[ConcreteTest]) -
                 dropped: 0,
             };
             for _ in 0..schedules.max(1) {
-                let host = run_ext_host(HostMode::Sv6, cores, test, true);
-                outcome.host_conflict_free &= host.conflict_free;
-                outcome.host_shared_labels.extend(host.shared_labels);
-                outcome.linearizable &=
-                    host.results == sim_ab.results || host.results == sim_ba.results;
-                let mut seen: Vec<Vec<u8>> = [&host.results.0, &host.results.1]
+                let (sink, kernel) = traced_kernel(HostMode::Sv6, cores);
+                let replay = replay_host(
+                    &kernel,
+                    &ChaosPlan::none(),
+                    &test.script(),
+                    true,
+                    Some(&sink),
+                );
+                let report = replay.report.expect("a traced replay has a window");
+                let results = as_pair(replay.results);
+                outcome.host_conflict_free &= report.is_conflict_free();
+                outcome
+                    .host_shared_labels
+                    .extend(report.conflicting_labels());
+                outcome.linearizable &= results == sim_ab.results || results == sim_ba;
+                // Every payload received or still queued, exactly once.
+                let mut seen: Vec<Vec<u8>> = [results.0, results.1]
                     .into_iter()
                     .filter_map(|r| match r {
-                        SysResult::Data(d) => Some(d.clone()),
+                        SysResult::Data(d) => Some(d),
                         _ => None,
                     })
-                    .chain(host.leftover.iter().cloned())
+                    .chain(
+                        socket_ids(test)
+                            .into_iter()
+                            .flat_map(|s| kernel.socket_drain_untraced(s)),
+                    )
                     .collect();
                 seen.sort();
                 outcome.conserved &= seen == sent;
-                outcome.dropped += host.dropped;
+                outcome.dropped += report.dropped;
             }
             outcome.host_shared_labels.sort();
             outcome.host_shared_labels.dedup();
@@ -1274,8 +1021,9 @@ mod tests {
         // results up to pid fungibility — both sequential orders agree or
         // are each other's pid swap (the linearization check's premise).
         for test in &corpus {
-            let ab = run_ext_sim(4, test, true);
-            let ba = run_ext_sim(4, test, false);
+            let sim = Sv6Factory { cores: 4 };
+            let ab = run_test_order(&sim, test, true);
+            let ba = run_test_order(&sim, test, false);
             let swapped = (ba.results.1.clone(), ba.results.0.clone());
             assert!(
                 ab.results == ba.results || (ab.results.0, ab.results.1) == swapped,
@@ -1292,9 +1040,9 @@ mod tests {
             .iter()
             .find(|t| t.id == "ext_send_recv_unordered_local")
             .unwrap();
-        let sim = run_ext_sim(4, test, true);
-        assert!(sim.conflict_free, "sim must scale: {:?}", sim.footprint);
-        let host = run_ext_host(HostMode::Sv6, 4, test, true);
+        let sim = run_test(&Sv6Factory { cores: 4 }, test);
+        assert!(sim.conflict_free, "sim must scale: {:?}", sim.shared_labels);
+        let host = run_test_host(HostMode::Sv6, 4, test, 1);
         assert!(
             host.conflict_free,
             "host must scale, shared {:?}",
@@ -1304,9 +1052,9 @@ mod tests {
             .iter()
             .find(|t| t.id == "ext_send_recv_ordered")
             .unwrap();
-        let sim = run_ext_sim(4, ordered, true);
+        let sim = run_test(&Sv6Factory { cores: 4 }, ordered);
         assert!(!sim.conflict_free, "ordered sockets must conflict");
-        let host = run_ext_host(HostMode::Sv6, 4, ordered, true);
+        let host = run_test_host(HostMode::Sv6, 4, ordered, 1);
         assert!(!host.conflict_free);
         assert!(
             host.shared_labels.iter().any(|l| l == "socket[0].queue"),
@@ -1319,11 +1067,12 @@ mod tests {
     fn spawn_scales_beside_open_where_forks_snapshot_conflicts() {
         let corpus = ext_corpus();
         let spawn = corpus.iter().find(|t| t.id == "ext_spawn_open").unwrap();
-        assert!(run_ext_sim(4, spawn, true).conflict_free);
-        assert!(run_ext_host(HostMode::Sv6, 4, spawn, true).conflict_free);
+        let sim = Sv6Factory { cores: 4 };
+        assert!(run_test(&sim, spawn).conflict_free);
+        assert!(run_test_host(HostMode::Sv6, 4, spawn, 1).conflict_free);
         let fork = corpus.iter().find(|t| t.id == "ext_fork_open").unwrap();
-        assert!(!run_ext_sim(4, fork, true).conflict_free);
-        let host = run_ext_host(HostMode::Sv6, 4, fork, true);
+        assert!(!run_test(&sim, fork).conflict_free);
+        let host = run_test_host(HostMode::Sv6, 4, fork, 1);
         assert!(!host.conflict_free);
         assert!(
             host.shared_labels.iter().all(|l| l.contains("].fd[")),

@@ -20,7 +20,7 @@ use parking_lot::{Mutex, RwLock};
 use scr_hostmtrace::{HostTraceSink, LockProbe, Probe, ProbeRadix, SeqProbe};
 use scr_kernel::api::{
     Errno, Fd, Ino, KResult, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder, Stat,
-    StatMask, SysOp, SysResult, SyscallApi, Whence, PAGE_SIZE,
+    StatMask, SyscallApi, Whence, PAGE_SIZE,
 };
 use scr_scalable::real::{
     HostInodeAllocator, HostProcTable, HostSocketTable, PerCoreRefcount, QueueOrder, SocketError,
@@ -1565,33 +1565,10 @@ impl SyscallApi for HostKernel {
     }
 }
 
-/// Performs a reified operation against a host kernel on the given core.
-/// Since [`HostKernel`] implements [`SyscallApi`], this is the generic
-/// `scr_kernel::api::perform` — kept as a named entry point for the
-/// differential and Figure-6 pipelines' call sites.
-pub fn perform_host(kernel: &HostKernel, core: usize, op: &SysOp) -> SysResult {
-    scr_kernel::api::perform(kernel, core, op)
-}
-
-/// [`perform_host`] with per-call observation: when the observer is
-/// enabled, the dispatch is timed and reported with the call's family name
-/// and errno. With a disabled observer this is `perform_host` plus one
-/// branch — no clock reads.
-pub fn perform_host_observed<O>(
-    kernel: &HostKernel,
-    core: usize,
-    op: &SysOp,
-    observer: &O,
-) -> SysResult
-where
-    O: scr_kernel::api::PerformObserver + ?Sized,
-{
-    scr_kernel::api::perform_observed(kernel, core, op, observer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scr_kernel::api::{SysOp, SysResult};
 
     fn kernel_with_proc(mode: HostMode) -> (HostKernel, Pid) {
         let k = HostKernel::new(4, mode);
@@ -1782,9 +1759,9 @@ mod tests {
     }
 
     #[test]
-    fn perform_host_drives_the_kernel_via_sysops() {
+    fn perform_drives_the_host_kernel_via_sysops() {
         let (k, pid) = kernel_with_proc(HostMode::Sv6);
-        let res = perform_host(
+        let res = scr_kernel::api::perform(
             &k,
             0,
             &SysOp::Open {
@@ -1794,7 +1771,7 @@ mod tests {
             },
         );
         assert!(res.is_ok());
-        match perform_host(
+        match scr_kernel::api::perform(
             &k,
             0,
             &SysOp::StatPath {

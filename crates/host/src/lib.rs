@@ -28,14 +28,21 @@
 //!   qman restart. Its exactly-once ledger (mailbox read-back plus an
 //!   fd leak check) runs on every run and must close under every
 //!   `ChaosPlan`.
+//! * [`replay`] is the one real-threads replay of a generated test,
+//!   [`replay::replay_host`]: `procs.max(2)` processes, the setup on its
+//!   annotated cores, then the ops back to back or racing behind one
+//!   barrier, optionally inside a `scr-hostmtrace` window and behind the
+//!   chaos fault layer. Every entry point below only builds the kernel and
+//!   reads the result.
 //! * [`differential`] replays TESTGEN's `ConcreteTest`s on real threads and
 //!   cross-checks every return value against the simulated `Sv6Kernel`,
 //!   closing the loop between the symbolic pipeline and real execution;
-//!   the §4 extension corpus rides along with a linearization +
-//!   message-conservation cross-check, and [`differential::chaos_campaign`]
-//!   replays the corpus through the pipeline's fault layer.
-//! * [`fig6`] replays the same tests with a `scr-hostmtrace` tracing window
-//!   around the concurrent pair and aggregates host-side Figure 6 heatmaps
+//!   its corpus comes from `scr_core::run_commuter`. The §4 extension
+//!   corpus rides along with a linearization + message-conservation
+//!   cross-check, and [`differential::chaos_campaign`] replays the corpus
+//!   with the replayer's fault plan enabled.
+//! * [`fig6`] replays the same corpus with a tracing window around the
+//!   concurrent pair and aggregates host-side Figure 6 heatmaps
 //!   (`sv6-host` / `linux-host`), cross-checking every conflict verdict
 //!   against the simulated heatmap (lowest-FD contention excepted, and
 //!   recorded explicitly).
@@ -45,24 +52,24 @@ pub mod fig6;
 pub mod harness;
 pub mod kernel;
 pub mod pipeline;
+pub mod replay;
 pub mod workloads;
 
 pub use differential::{
     chaos_campaign, differential_campaign, differential_campaign_observed,
     differential_campaign_with, differential_sample, ext_campaign, run_differential,
-    CampaignConfig, ChaosReplayer, DifferentialReport, ExtCampaignReport, HostReplayer,
-    PairOutcome,
+    triple_linearizes, CampaignConfig, DifferentialOutcome, DifferentialReport, ExtCampaignReport,
+    HostReplayer, PairOutcome,
 };
 pub use fig6::{
     budget_corpus, build_ext_corpus, classify_divergence, created_sockets, ext_calls, ext_corpus,
     ext_failures, ext_pair_calls, ext_signature, generated_ext_corpus, normalize_pipe_label,
-    replay_traced, replay_traced_with_sink, run_ext_corpus, run_ext_fig6, run_ext_host,
-    run_ext_sim, run_host_fig6, run_test_host, run_test_host_with, sent_messages, socket_ids,
-    ExtCorpus, ExtOutcome, Fig6Divergence, HostExtRun, HostFig6Config, HostFig6Results,
-    HostTestOutcome, SimExtRun, EXT_CORPUS_BUDGET, EXT_MAX_ASSIGNMENTS_PER_CASE,
-    LOWEST_FD_EXCEPTION,
+    run_ext_corpus, run_ext_fig6, run_host_fig6, run_test_host, run_test_host_with, sent_messages,
+    socket_ids, ExtCorpus, ExtOutcome, Fig6Divergence, HostFig6Config, HostFig6Results,
+    HostTestOutcome, EXT_CORPUS_BUDGET, EXT_MAX_ASSIGNMENTS_PER_CASE, LOWEST_FD_EXCEPTION,
 };
 pub use harness::{available_threads, LoadHarness};
-pub use kernel::{perform_host, perform_host_observed, HostKernel, HostMode, HostOptions};
+pub use kernel::{HostKernel, HostMode, HostOptions};
 pub use pipeline::{run_mail, run_mail_on, MailReport, MailRun, Release, ShardStats};
+pub use replay::{host_footprint, replay_host, traced_kernel, HostReplay};
 pub use workloads::{mailbench, openbench, statbench, HostStatMode, MailTelemetry};

@@ -13,87 +13,53 @@
 //!    host-conflict-free; the only tolerated divergences are the documented
 //!    lowest-FD-allocation contention cases, asserted explicitly.
 
-use scr_core::pipeline::bucket_distinct_names;
-use scr_core::{
-    analyze_pair, enumerate_shapes, generate_tests, ConcreteTest, KernelFactory, Sv6Factory,
-};
-use scr_host::fig6::{
-    normalize_pipe_label, replay_traced_with_sink, run_host_fig6, HostFig6Config,
-};
+use scr_chaos::plan::ChaosPlan;
+use scr_core::{replay_sim, run_commuter, CommuterConfig, ConcreteTest, Sv6Factory};
+use scr_host::fig6::{normalize_pipe_label, run_host_fig6, HostFig6Config};
 use scr_host::kernel::HostMode;
-use scr_kernel::api::perform;
-use scr_model::{CallKind, ModelConfig};
+use scr_host::{host_footprint, replay_host, traced_kernel};
+use scr_model::CallKind;
 use scr_mtrace::AccessKind;
 
-/// The (core, label, kind) multiset a test records on the simulated sv6
-/// kernel (setup untraced on core 0, the pair traced on cores 0 and 1 —
-/// the MTRACE driver's protocol).
-fn sim_footprint(test: &ConcreteTest, cores: usize) -> Vec<(usize, String, AccessKind)> {
-    let factory = Sv6Factory { cores };
-    let kernel = factory.build();
-    let machine = kernel.machine().clone();
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    machine.stop_tracing();
-    for (core, op) in &test.setup {
-        machine.on_core(*core, || perform(kernel.as_ref(), *core, op));
-    }
-    machine.clear_trace();
-    machine.start_tracing();
-    machine.on_core(0, || perform(kernel.as_ref(), 0, &test.op_a));
-    machine.on_core(1, || perform(kernel.as_ref(), 1, &test.op_b));
-    machine.stop_tracing();
-    let mut out: Vec<_> = machine
-        .accesses()
-        .iter()
-        .map(|a| {
-            (
-                a.core,
-                normalize_pipe_label(&machine.label_of(a.line)),
-                a.kind,
-            )
-        })
+/// Pipe-normalised and re-sorted, so the two substrates compare equal.
+fn normalized(footprint: Vec<(usize, String, AccessKind)>) -> Vec<(usize, String, AccessKind)> {
+    let mut out: Vec<_> = footprint
+        .into_iter()
+        .map(|(core, label, kind)| (core, normalize_pipe_label(&label), kind))
         .collect();
     out.sort();
     out
 }
 
+/// The (core, label, kind) multiset a test records on the simulated sv6
+/// kernel (setup untraced on its cores, the pair traced on cores 0 and 1
+/// — the MTRACE driver's protocol).
+fn sim_footprint(test: &ConcreteTest, cores: usize) -> Vec<(usize, String, AccessKind)> {
+    normalized(replay_sim(&Sv6Factory { cores }, &test.script(), &[0, 1]).footprint())
+}
+
 /// The same multiset recorded by a sequential traced replay on the host.
-fn host_footprint(test: &ConcreteTest, cores: usize) -> Vec<(usize, String, AccessKind)> {
-    let (sink, report, _) = replay_traced_with_sink(HostMode::Sv6, cores, test, false);
+fn host_footprint_of(test: &ConcreteTest, cores: usize) -> Vec<(usize, String, AccessKind)> {
+    let (sink, kernel) = traced_kernel(HostMode::Sv6, cores);
+    let replay = replay_host(
+        &kernel,
+        &ChaosPlan::none(),
+        &test.script(),
+        false,
+        Some(&sink),
+    );
+    let report = replay.report.expect("a traced replay has a window");
     assert_eq!(report.dropped, 0, "log overflow in {}", test.id);
-    let mut out: Vec<_> = report
-        .accesses
-        .iter()
-        .map(|a| (a.core, normalize_pipe_label(&sink.label_of(a.line)), a.kind))
-        .collect();
-    out.sort();
-    out
+    normalized(host_footprint(&sink, &report))
 }
 
 /// Generates the corpus for a call set (the quick pipeline's bounds).
 fn corpus(calls: &[CallKind], max_assignments: usize) -> Vec<ConcreteTest> {
-    let model = ModelConfig {
-        inodes: 2,
-        ..ModelConfig::default()
+    let config = CommuterConfig {
+        max_assignments_per_case: max_assignments,
+        ..CommuterConfig::quick(calls)
     };
-    let names = bucket_distinct_names(8);
-    let mut tests = Vec::new();
-    for (i, &call_a) in calls.iter().enumerate() {
-        for &call_b in calls.iter().skip(i) {
-            for shape in enumerate_shapes(call_a, call_b, &model) {
-                let analysis = analyze_pair(&shape, &model);
-                if analysis.cases.is_empty() {
-                    continue;
-                }
-                tests.extend(
-                    generate_tests(&shape, &analysis.cases, &model, &names, max_assignments).tests,
-                );
-            }
-        }
-    }
-    tests
+    run_commuter(&config, &[]).tests
 }
 
 /// Compares footprints over the corpus, stride-sampling when it is large:
@@ -105,7 +71,7 @@ fn assert_faithful(calls: &[CallKind], max_assignments: usize) {
     let stride = (tests.len() / 250).max(1);
     for test in tests.iter().step_by(stride) {
         assert_eq!(
-            host_footprint(test, 4),
+            host_footprint_of(test, 4),
             sim_footprint(test, 4),
             "instrumented host footprint diverges from the simulator for {}",
             test.id
@@ -212,5 +178,24 @@ fn host_fig6_cross_check_has_no_unexplained_divergences() {
     assert_eq!(
         results.sim_sv6.total_conflict_free() - results.host_sv6.total_conflict_free(),
         results.divergences.len()
+    );
+}
+
+/// Host Figure 6 generates through the COMMUTER sweep, so a §4 pair gets
+/// the socket slots `pair_config` gives it; an unspecialised model has
+/// none and generates nothing for `send ∥ send`.
+#[test]
+fn host_fig6_covers_extension_pairs() {
+    let config = HostFig6Config {
+        max_assignments_per_case: 4,
+        ..HostFig6Config::quick(&[CallKind::Send])
+    };
+    let results = run_host_fig6(&config);
+    assert!(results.tests_run > 0, "send ∥ send generated no test");
+    assert_eq!(results.dropped, 0);
+    assert!(
+        results.unexplained_divergences().is_empty(),
+        "unexplained SIM↔host divergences:\n{}",
+        results.describe_divergences()
     );
 }

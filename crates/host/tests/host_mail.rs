@@ -17,12 +17,11 @@
 //!    both API configurations and both host modes, delivering every
 //!    message exactly once across repeated schedules.
 
-use scr_core::ConcreteTest;
-use scr_host::fig6::{
-    ext_corpus, ext_failures, normalize_pipe_label, run_ext_corpus, run_ext_host, run_ext_sim,
-};
+use scr_chaos::plan::ChaosPlan;
+use scr_core::{replay_sim, ConcreteTest, Sv6Factory};
+use scr_host::fig6::{ext_corpus, ext_failures, normalize_pipe_label, run_ext_corpus};
 use scr_host::kernel::{HostKernel, HostMode};
-use scr_host::{run_mail, MailRun};
+use scr_host::{host_footprint, replay_host, run_mail, traced_kernel, MailRun};
 use scr_kernel::api::{Errno, OpenFlags, SocketOrder, SysOp, SyscallApi};
 use scr_kernel::mail::{MailConfig, MailServer, MailTopology};
 use scr_kernel::Sv6Kernel;
@@ -43,10 +42,29 @@ fn footprints(test: &ConcreteTest) -> (Footprint, Footprint) {
         fp.sort();
         fp
     };
-    let sim = normalize(run_ext_sim(4, test, true).footprint);
-    let host_run = run_ext_host(HostMode::Sv6, 4, test, false);
-    assert_eq!(host_run.dropped, 0, "log overflow in {}", test.id);
-    (sim, normalize(host_run.footprint))
+    let sim = normalize(sim_footprint(test));
+    let host = sequential_host_footprint(HostMode::Sv6, test);
+    (sim, normalize(host))
+}
+
+/// The sorted footprint of a test on the simulated sv6 kernel, A then B.
+fn sim_footprint(test: &ConcreteTest) -> Footprint {
+    replay_sim(&Sv6Factory { cores: 4 }, &test.script(), &[0, 1]).footprint()
+}
+
+/// The sorted footprint of a sequential traced replay on the host.
+fn sequential_host_footprint(mode: HostMode, test: &ConcreteTest) -> Footprint {
+    let (sink, kernel) = traced_kernel(mode, 4);
+    let replay = replay_host(
+        &kernel,
+        &ChaosPlan::none(),
+        &test.script(),
+        false,
+        Some(&sink),
+    );
+    let report = replay.report.expect("a traced replay has a window");
+    assert_eq!(report.dropped, 0, "log overflow in {}", test.id);
+    host_footprint(&sink, &report)
 }
 
 fn assert_mirrors(test: &ConcreteTest) {
@@ -183,10 +201,8 @@ fn linuxlike_socket_calls_record_the_giant_lock_as_a_written_line() {
             send(0, "m"),
             2,
         );
-        let host = run_ext_host(HostMode::Linuxlike, 4, &test, false);
-        assert_eq!(host.dropped, 0);
+        let host = sequential_host_footprint(HostMode::Linuxlike, &test);
         let giant: Vec<&AccessKind> = host
-            .footprint
             .iter()
             .filter(|(_, label, _)| label == "kernel.giant_lock")
             .map(|(_, _, kind)| kind)
@@ -205,8 +221,8 @@ fn linuxlike_socket_calls_record_the_giant_lock_as_a_written_line() {
                 .filter(|(_, label, _)| label.starts_with("socket["))
                 .collect()
         };
-        let rest = socket_lines(host.footprint);
-        let sim = socket_lines(run_ext_sim(4, &test, true).footprint);
+        let rest = socket_lines(host);
+        let sim = socket_lines(sim_footprint(&test));
         assert_eq!(rest, sim, "{}", test.id);
     }
 }

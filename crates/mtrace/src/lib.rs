@@ -23,18 +23,23 @@
 //!   transfers and collapses per-core throughput.
 //! * [`splitmix`] is the workspace's one SplitMix64 mixer, shared by the
 //!   mail stack's seeded streams (arrivals, fault plans, backoff jitter).
+//! * [`fnv`] is the workspace's one FNV-1a hash, shared by directory
+//!   bucket placement, mail shard assignment and the COMMUTER
+//!   fingerprints.
 //!
 //! The machine is deliberately single-threaded: "cores" are a labelling of
 //! which logical CPU performed an access, which is all that conflict
 //! detection and the coherence model need. Real-thread microbenchmarks of
 //! the scalable primitives live in `scr-scalable`.
 
+pub mod fnv;
 pub mod machine;
 pub mod mesi;
 pub mod scaling;
 pub mod splitmix;
 pub mod trace;
 
+pub use fnv::{fnv1a, Fnv1a};
 pub use machine::{CoreId, LineId, SimMachine, TracedCell};
 pub use mesi::{CoherenceStats, MesiSimulator};
 pub use scaling::{ScalingParams, ScalingPoint, ThroughputModel};

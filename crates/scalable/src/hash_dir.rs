@@ -8,19 +8,7 @@
 //! "barring hash collisions" caveat in the paper.
 
 use crate::spinlock::TracedLock;
-use scr_mtrace::{SimMachine, TracedCell};
-
-/// Deterministic string hash (FNV-1a), stable across runs so test cases
-/// are reproducible. Shared by the traced [`HashDir`] and the host twin
-/// [`crate::real::StripedHashDir`], whose bucket placement must agree.
-pub fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.as_bytes() {
-        h ^= *byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use scr_mtrace::{fnv1a, SimMachine, TracedCell};
 
 /// A string-keyed hash map with one lock and one storage line per bucket.
 #[derive(Clone, Debug)]
@@ -54,7 +42,7 @@ impl<V: Clone + 'static> HashDir<V> {
 
     /// The bucket index a key maps to.
     pub fn bucket_of(&self, key: &str) -> usize {
-        (fnv1a(key) % self.buckets.len() as u64) as usize
+        (fnv1a(key.as_bytes()) % self.buckets.len() as u64) as usize
     }
 
     /// Looks up a key (read-only; touches only the key's bucket).

@@ -481,7 +481,7 @@ impl<V: Clone> StripedHashDir<V> {
     /// collisions" caveat) is identical between the simulated and host
     /// kernels.
     pub fn stripe_of(&self, key: &str) -> usize {
-        (crate::hash_dir::fnv1a(key) % self.stripes.len() as u64) as usize
+        (scr_mtrace::fnv1a(key.as_bytes()) % self.stripes.len() as u64) as usize
     }
 
     /// Looks up a key (shared lock on the key's stripe only; the footprint

@@ -87,6 +87,22 @@ fn main() {
     if !results.divergences.is_empty() {
         println!("{}", results.describe_divergences());
     }
+    // Pairs that generated no test show as `-` cells; name them so a
+    // silently empty pair is visible in the uploaded heatmap artifact.
+    let mut empty_pairs = Vec::new();
+    for (i, &a) in config.calls.iter().enumerate() {
+        for &b in &config.calls[i..] {
+            if results.sim_sv6.cell(a, b).total == 0 {
+                empty_pairs.push(format!("{}∥{}", a.name(), b.name()));
+            }
+        }
+    }
+    println!(
+        "pairs with no generated test: {}{}{}",
+        empty_pairs.len(),
+        if empty_pairs.is_empty() { "" } else { ": " },
+        empty_pairs.join(", ")
+    );
 
     let mut failed = false;
     if !results.unexplained_divergences().is_empty() {
